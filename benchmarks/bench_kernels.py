@@ -1,4 +1,4 @@
-"""Benchmark the JIT-compiled solver kernels against the pure-Python path.
+"""Benchmark the JIT-compiled kernels against the pure-Python path.
 
 Runs each kernel workload twice in subprocesses: once with numba enabled
 (default) and once with OPSTAB_NO_NUMBA=1, then prints a speedup table.
@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 
-WORKLOADS = ["thomas", "heat", "diffrec", "corput", "adam"]
+WORKLOADS = ["thomas", "corput", "adam"]
 
 
 def run_workload(name, repeat):
@@ -31,26 +31,6 @@ def run_workload(name, repeat):
         start = time.perf_counter()
         for _ in range(repeat * 200):
             kernels.thomas_solve(lower, diag, upper, rhs)
-        return time.perf_counter() - start
-    if name == "heat":
-        u0 = np.sin(np.pi * np.linspace(0, 1, 401))
-        src = np.zeros(401)
-        kernels.crank_nicolson_heat(u0, src, 0.5, 1e-3, 3)
-        start = time.perf_counter()
-        for _ in range(repeat):
-            kernels.crank_nicolson_heat(u0, src, 0.5, 1e-3, 401)
-        return time.perf_counter() - start
-    if name == "diffrec":
-        nx = 201
-        u0 = np.zeros(nx)
-        forcing = np.sin(np.pi * np.linspace(0, 1, nx))
-        kprof = np.full(nx, 0.01)
-        kernels.implicit_euler_picard(u0, forcing, kprof, 1.0, 0.01, 1e-2,
-                                      3, 1 / (nx - 1), 1e-10, 50)
-        start = time.perf_counter()
-        for _ in range(repeat):
-            kernels.implicit_euler_picard(u0, forcing, kprof, 1.0, 0.01,
-                                          5e-3, 201, 1 / (nx - 1), 1e-10, 50)
         return time.perf_counter() - start
     if name == "corput":
         kernels.van_der_corput_base2(8)
@@ -79,13 +59,11 @@ def main():
 
     print(f"{'kernel':>10} {'numba':>12} {'fallback':>12} {'speedup':>9}")
     for name in WORKLOADS:
-        repeat = 2 if name in ("heat", "diffrec") else 5
         times = {}
         for label, env_flag in (("numba", ""), ("fallback", "1")):
             env = dict(os.environ, OPSTAB_NO_NUMBA=env_flag)
             out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--inner", name,
-                 str(repeat)],
+                [sys.executable, os.path.abspath(__file__), "--inner", name, "5"],
                 env=env, capture_output=True, text=True, check=True)
             times[label] = json.loads(out.stdout.strip().splitlines()[-1])["seconds"]
         speedup = times["fallback"] / times["numba"]

@@ -233,19 +233,16 @@ def attack_solution_error(model, f, u_true_on_grid, y_grid,
     """PGD ascent on ||G(f_tilde)(y) - u_true(y)||^2 (the evaluation attack).
 
     Starts from the clean input (no warm start) and maximizes deviation
-    from the fixed reference solution. model is DeepONetParams, or a
-    callable (f_row_var, y_grid) -> output block for oracle tests.
-    Returns (f_tilde, AttackTrace).
+    from the fixed reference solution. model is DeepONetParams, a
+    dn.GridModel built for y_grid, or a callable (f_row_var, y_grid) ->
+    output block for oracle tests. Returns (f_tilde, AttackTrace).
     """
     values = _values_of(f)
     u_true = np.asarray(u_true_on_grid, dtype=np.float64)
     cfg = config.resolve_for(values)
 
-    if isinstance(model, dn.DeepONetParams):
-        cols = dn._as_coord_cols(y_grid)
-
-        def predict(f_var):
-            return dn.apply_net(model, f_var, cols)
+    if isinstance(model, (dn.DeepONetParams, dn.GridModel)):
+        predict = dn.on_grid(model, y_grid)
     else:
         def predict(f_var):
             return model(f_var, y_grid)

@@ -79,60 +79,69 @@ def _unbroadcast(g, shape):
 
 
 # --------------------------------------------------------------------------
-# primitive registry: forward rule + vector-Jacobian rule per op
+# primitive registry: forward rule + one vector-Jacobian rule per operand
 # --------------------------------------------------------------------------
 
 _FORWARD = {}
 _VJP = {}
 
 
-def _register(name, forward, vjp_rule):
+def _register(name, forward, *vjp_rules):
+    """vjp_rules[i](ctx, out, parent_values, g) is the cotangent of operand
+    i; grad evaluates only the rules of operands that need a gradient."""
     _FORWARD[name] = forward
-    _VJP[name] = vjp_rule
+    _VJP[name] = vjp_rules
 
 
-def _matmul_vjp(ctx, out, pv, g):
+def _matmul_vjp_a(ctx, out, pv, g):
     a, b = pv
-    if a.ndim == 2 and b.ndim == 2:
-        return g @ b.T, a.T @ g
-    if a.ndim == 2 and b.ndim == 1:
-        return np.outer(g, b), a.T @ g
-    if a.ndim == 1 and b.ndim == 2:
-        return g @ b.T, np.outer(a, g)
-    return g * b, g * a  # 1d @ 1d -> scalar
+    if b.ndim == 2:
+        return g @ b.T
+    if a.ndim == 2:
+        return np.outer(g, b)
+    return g * b  # 1d @ 1d -> scalar
+
+
+def _matmul_vjp_b(ctx, out, pv, g):
+    a, b = pv
+    if a.ndim == 2:
+        return a.T @ g
+    if b.ndim == 2:
+        return np.outer(a, g)
+    return g * a  # 1d @ 1d -> scalar
 
 
 _register("add", lambda ctx, a, b: a + b,
-          lambda ctx, out, pv, g: (_unbroadcast(g, pv[0].shape),
-                                   _unbroadcast(g, pv[1].shape)))
+          lambda ctx, out, pv, g: _unbroadcast(g, pv[0].shape),
+          lambda ctx, out, pv, g: _unbroadcast(g, pv[1].shape))
 _register("sub", lambda ctx, a, b: a - b,
-          lambda ctx, out, pv, g: (_unbroadcast(g, pv[0].shape),
-                                   _unbroadcast(-g, pv[1].shape)))
+          lambda ctx, out, pv, g: _unbroadcast(g, pv[0].shape),
+          lambda ctx, out, pv, g: _unbroadcast(-g, pv[1].shape))
 _register("mul", lambda ctx, a, b: a * b,
-          lambda ctx, out, pv, g: (_unbroadcast(g * pv[1], pv[0].shape),
-                                   _unbroadcast(g * pv[0], pv[1].shape)))
+          lambda ctx, out, pv, g: _unbroadcast(g * pv[1], pv[0].shape),
+          lambda ctx, out, pv, g: _unbroadcast(g * pv[0], pv[1].shape))
 _register("div", lambda ctx, a, b: a / b,
-          lambda ctx, out, pv, g: (_unbroadcast(g / pv[1], pv[0].shape),
-                                   _unbroadcast(-g * out / pv[1], pv[1].shape)))
+          lambda ctx, out, pv, g: _unbroadcast(g / pv[1], pv[0].shape),
+          lambda ctx, out, pv, g: _unbroadcast(-g * out / pv[1], pv[1].shape))
 _register("tanh", lambda ctx, a: np.tanh(a),
-          lambda ctx, out, pv, g: (g * (1.0 - out * out),))
+          lambda ctx, out, pv, g: g * (1.0 - out * out))
 _register("exp", lambda ctx, a: np.exp(a),
-          lambda ctx, out, pv, g: (g * out,))
+          lambda ctx, out, pv, g: g * out)
 _register("sin", lambda ctx, a: np.sin(a),
-          lambda ctx, out, pv, g: (g * np.cos(pv[0]),))
+          lambda ctx, out, pv, g: g * np.cos(pv[0]))
 _register("square", lambda ctx, a: a * a,
-          lambda ctx, out, pv, g: (g * 2.0 * pv[0],))
+          lambda ctx, out, pv, g: g * 2.0 * pv[0])
 _register("abs", lambda ctx, a: np.abs(a),
-          lambda ctx, out, pv, g: (g * np.sign(pv[0]),))
+          lambda ctx, out, pv, g: g * np.sign(pv[0]))
 _register("sign", lambda ctx, a: np.sign(a),
-          lambda ctx, out, pv, g: (np.zeros_like(pv[0]),))
+          lambda ctx, out, pv, g: np.zeros_like(pv[0]))
 _register("clip", lambda ctx, a: np.clip(a, ctx[0], ctx[1]),
-          lambda ctx, out, pv, g: (g * ((pv[0] > ctx[0]) & (pv[0] < ctx[1])),))
-_register("matmul", lambda ctx, a, b: a @ b, _matmul_vjp)
+          lambda ctx, out, pv, g: g * ((pv[0] > ctx[0]) & (pv[0] < ctx[1])))
+_register("matmul", lambda ctx, a, b: a @ b, _matmul_vjp_a, _matmul_vjp_b)
 _register("sum", lambda ctx, a: np.sum(a),
-          lambda ctx, out, pv, g: (np.full(pv[0].shape, float(g)),))
+          lambda ctx, out, pv, g: np.full(pv[0].shape, float(g)))
 _register("mean", lambda ctx, a: np.mean(a),
-          lambda ctx, out, pv, g: (np.full(pv[0].shape, float(g) / pv[0].size),))
+          lambda ctx, out, pv, g: np.full(pv[0].shape, float(g) / pv[0].size))
 
 
 # --------------------------------------------------------------------------
@@ -536,10 +545,10 @@ def grad(output: Var, leaves: Sequence[Var]) -> dict:
         if name == "const":
             continue
         parent_values = [tape._values[p] for p in parents]
-        pgrads = _VJP[name](ctx, tape._values[idx], parent_values, g)
-        for p, pg in zip(parents, pgrads):
+        for p, rule in zip(parents, _VJP[name]):
             if not tape._requires[p]:
                 continue
+            pg = rule(ctx, tape._values[idx], parent_values, g)
             if p in adjoint:
                 adjoint[p] = adjoint[p] + pg
             else:

@@ -21,7 +21,7 @@ from . import problems as pb
 from . import sampling as sp
 from . import solvers as sv
 from . import training as tr
-from .attacks import AttackConfig, attack_physics_loss, project
+from .attacks import AttackConfig, attack_solution_error, project
 from .config import RunConfig, ValidationError, parse_config, write_config
 
 
@@ -109,9 +109,9 @@ def cmd_evaluate(args) -> int:
 def cmd_attack(args) -> int:
     rc = _load_config(args.config)
     out = _ensure_outdir(rc)
-    params = _load_model(args.checkpoint, rc)
     n = args.n_samples or min(rc.eval_options.n_samples, 20)
     y_grid = pb.eval_grid(rc.problem, rc.eval_options.eval_points)
+    model = dn.on_grid(_load_model(args.checkpoint, rc), y_grid)
     trace_path = os.path.join(out, "attack_traces.csv")
     inputs_path = os.path.join(out, "attacked_inputs.csv")
     with open(trace_path, "w", newline="") as tf, \
@@ -123,8 +123,7 @@ def cmd_attack(args) -> int:
         for i in range(n):
             sample = pb.sample_input(rc.problem, rc.seed + 1_000_000 + i)
             u_true = ev.reference_solution(rc.problem, sample, y_grid)
-            from .attacks import attack_solution_error
-            f_tilde, trace = attack_solution_error(params, sample.values,
+            f_tilde, trace = attack_solution_error(model, sample.values,
                                                    u_true, y_grid, rc.attack)
             for it, loss in enumerate(trace.loss_per_iter):
                 tw.writerow([i, it, repr(float(loss))])
@@ -143,6 +142,7 @@ def cmd_jacobian(args) -> int:
     params = _load_model(args.checkpoint, rc)
     opts = rc.eval_options
     y_grid = pb.eval_grid(rc.problem, opts.eval_points)
+    model = dn.on_grid(params, y_grid)
     path = os.path.join(out, "jacobian_norms.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -153,7 +153,8 @@ def cmd_jacobian(args) -> int:
             sample = pb.sample_input(rc.problem, rc.seed + 2_000_000 + i)
             est = ev.jacobian_spectral_norm(params, sample.values, y_grid,
                                             tol=opts.power_tol,
-                                            max_iter=opts.power_max_iter)
+                                            max_iter=opts.power_max_iter,
+                                            model=model)
             norms.append(est.spectral_norm)
             writer.writerow([i, repr(est.spectral_norm), est.iterations_used,
                              repr(est.residual)])

@@ -184,23 +184,58 @@ def _as_coord_cols(coords):
     return np.ascontiguousarray(c.T)
 
 
-def forward(params: DeepONetParams, f_samples, coords) -> np.ndarray:
+class GridModel:
+    """A model bound to one fixed coordinate set.
+
+    The trunk features and the transform mask depend only on the weights
+    and the coordinates, never on the input function, so they are
+    computed once here and shared by every evaluation on the grid.
+    Calling the object on (batch, m) rows (numpy, tape Vars or duals)
+    gives exactly what apply_net gives on the same coordinates.
+    """
+
+    def __init__(self, params: DeepONetParams, coords):
+        cols = _as_coord_cols(coords)
+        if cols.shape[0] != params.arch.coord_dim:
+            raise ArchError(
+                f"expected {params.arch.coord_dim}-dimensional coordinates, "
+                f"got {cols.shape[0]}")
+        self.params = params
+        self.cols = cols
+        self.trunk = trunk_apply(params, cols)
+        self.mask = transform_mask(params.arch.transform, cols)
+
+    def __call__(self, f_rows):
+        u = ad.add(ad.matmul(branch_apply(self.params, f_rows), self.trunk),
+                   self.params.output_bias)
+        return u if self.mask is None else ad.mul(u, self.mask)
+
+
+def on_grid(model, coords) -> GridModel:
+    """model evaluated on coords: DeepONetParams get a new GridModel, a
+    GridModel is reused after checking it was built for these coords."""
+    if not isinstance(model, GridModel):
+        return GridModel(model, coords)
+    if not np.array_equal(model.cols, _as_coord_cols(coords)):
+        raise ArchError("grid model was built for other coordinates")
+    return model
+
+
+def forward(model, f_samples, coords) -> np.ndarray:
     """Evaluate the operator.
 
-    f_samples: (m,) sensor values or a (batch, m) stack; coords: (npts,)
-    for 1-d problems or (npts, dim). Returns (npts,) or (batch, npts).
+    model: DeepONetParams, or a GridModel built for coords. f_samples:
+    (m,) sensor values or a (batch, m) stack; coords: (npts,) for 1-d
+    problems or (npts, dim). Returns (npts,) or (batch, npts).
     """
     f = np.asarray(f_samples, dtype=np.float64)
     single = f.ndim == 1
     rows = f[None, :] if single else f
-    if rows.shape[1] != params.arch.sensor_count:
-        raise ArchError(
-            f"expected {params.arch.sensor_count} sensor values, got {rows.shape[1]}")
-    cols = _as_coord_cols(coords)
-    if cols.shape[0] != params.arch.coord_dim:
-        raise ArchError(
-            f"expected {params.arch.coord_dim}-dimensional coordinates, got {cols.shape[0]}")
-    u = apply_net(params, rows, cols)
+    grid = on_grid(model, coords)
+    if rows.shape[1] != grid.params.arch.sensor_count:
+        raise ArchError(f"expected {grid.params.arch.sensor_count} sensor "
+                        f"values, got {rows.shape[1]}")
+    u = grid(rows)
     return u[0] if single else u
 
 
@@ -212,10 +247,9 @@ def forward_grad_f(params: DeepONetParams, f_samples, coords,
     defaults to the sum of all outputs.
     """
     f = np.asarray(f_samples, dtype=np.float64).reshape(1, -1)
-    cols = _as_coord_cols(coords)
     tape = ad.Tape()
     f_var = tape.leaf(f)
-    out = apply_net(params, f_var, cols)
+    out = GridModel(params, coords)(f_var)
     scalar = ad.total(out) if functional is None else functional(out)
     return ad.grad(scalar, [f_var])[f_var].reshape(-1)
 

@@ -144,13 +144,14 @@ def build_eval_datasets(problem: pb.ProblemSpec, params: dn.DeepONetParams,
     what the model was actually fed.
     """
     y_grid = pb.eval_grid(problem, eval_points)
+    model = dn.on_grid(params, y_grid)
     base, robustness = [], []
     for i in range(n_samples):
         sample = pb.sample_input(problem, seed + i)
         u_true = reference_solution(problem, sample, y_grid, resolution)
         base.append(EvalPair(sample, u_true))
 
-        f_tilde, _ = attack_solution_error(params, sample.values, u_true,
+        f_tilde, _ = attack_solution_error(model, sample.values, u_true,
                                            y_grid, attack)
         resolved = attack.resolve_for(sample.values)
         violation = perturbation_norm(f_tilde, sample.values, resolved) \
@@ -180,36 +181,26 @@ class JacobianEstimate:
     residual: float
 
 
-def _model_map(params: dn.DeepONetParams, y_grid):
-    cols = dn._as_coord_cols(y_grid)
-
-    def fn(f_like):
-        out = dn.apply_net(params, f_like, cols)
-        return out
-
-    return fn
-
-
-def model_jvp(params: dn.DeepONetParams, f: np.ndarray, y_grid,
-              direction: np.ndarray) -> np.ndarray:
-    fn = _model_map(params, y_grid)
-    out = fn(ad.Dual(np.asarray(f, dtype=np.float64)[None, :],
-                     np.asarray(direction, dtype=np.float64)[None, :]))
+def model_jvp(model, f: np.ndarray, y_grid, direction: np.ndarray) -> np.ndarray:
+    """J @ direction of f -> u(y_grid); model is DeepONetParams or a
+    dn.GridModel built for y_grid."""
+    out = dn.on_grid(model, y_grid)(
+        ad.Dual(np.asarray(f, dtype=np.float64)[None, :],
+                np.asarray(direction, dtype=np.float64)[None, :]))
     tangent = ad.tangent_of(out)
     return np.asarray(ad.primal_of(tangent)).ravel()
 
 
-def model_vjp(params: dn.DeepONetParams, f: np.ndarray, y_grid,
-              covector: np.ndarray) -> np.ndarray:
-    fn = _model_map(params, y_grid)
+def model_vjp(model, f: np.ndarray, y_grid, covector: np.ndarray) -> np.ndarray:
+    """J^T @ covector of f -> u(y_grid); model as in model_jvp."""
     tape = ad.Tape()
     f_var = tape.leaf(np.asarray(f, dtype=np.float64)[None, :])
-    out = fn(f_var)
+    out = dn.on_grid(model, y_grid)(f_var)
     scalar = ad.total(ad.mul(out, np.asarray(covector, dtype=np.float64)[None, :]))
     return ad.grad(scalar, [f_var])[f_var].ravel()
 
 
-def jacobian_dense(params: dn.DeepONetParams, f: np.ndarray, y_grid,
+def jacobian_dense(model, f: np.ndarray, y_grid,
                    max_entries: int = 1_000_000) -> np.ndarray:
     """Column-by-column Jacobian of f -> u(y_grid); cross-check path."""
     f = np.asarray(f, dtype=np.float64)
@@ -217,31 +208,38 @@ def jacobian_dense(params: dn.DeepONetParams, f: np.ndarray, y_grid,
     n_out = len(y) if y.ndim else 1
     if n_out * f.size > max_entries:
         raise ValueError("dense Jacobian too large; use power iteration")
+    model = dn.on_grid(model, y_grid)
     cols = []
     for j in range(f.size):
         e = np.zeros(f.size)
         e[j] = 1.0
-        cols.append(model_jvp(params, f, y_grid, e))
+        cols.append(model_jvp(model, f, y_grid, e))
     return np.column_stack(cols)
 
 
 def jacobian_spectral_norm(params: dn.DeepONetParams, f, y_grid,
                            tol: float = 1e-6, max_iter: int = 500,
-                           seed: int = 0) -> JacobianEstimate:
-    """Power iteration on J^T J using only jvp/vjp products."""
+                           seed: int = 0,
+                           model: Optional[dn.GridModel] = None) -> JacobianEstimate:
+    """Power iteration on J^T J using only jvp/vjp products.
+
+    model, when given, is params on y_grid (dn.on_grid); callers that
+    take several norms of one model pass it to compute the trunk once.
+    """
     f = np.asarray(f, dtype=np.float64)
+    model = dn.on_grid(params if model is None else model, y_grid)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(f.size)
     v /= np.linalg.norm(v)
     estimate = 0.0
     for it in range(1, max_iter + 1):
-        w = model_jvp(params, f, y_grid, v)
+        w = model_jvp(model, f, y_grid, v)
         sigma = float(np.linalg.norm(w))
         residual = abs(sigma - estimate)
         if residual < tol:
             return JacobianEstimate(sigma, it, residual)
         estimate = sigma
-        back = model_vjp(params, f, y_grid, w)
+        back = model_vjp(model, f, y_grid, w)
         norm = np.linalg.norm(back)
         if norm == 0.0:  # zero Jacobian
             return JacobianEstimate(0.0, it, 0.0)
@@ -294,10 +292,11 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
     ]
     summary = []
     for name, params in models.items():
+        model = dn.on_grid(params, y_grid)
         ratios = []
         for rec in records:
-            pred_base = dn.forward(params, rec.f, y_grid)
-            pred_rob = dn.forward(params, rec.f_tilde, y_grid)
+            pred_base = dn.forward(model, rec.f, y_grid)
+            pred_rob = dn.forward(model, rec.f_tilde, y_grid)
             rec.predictions[(name, "base")] = pred_base
             rec.predictions[(name, "robustness")] = pred_rob
             rec.rel_l2[(name, "base")] = relative_l2(pred_base, rec.u_true)
@@ -313,7 +312,8 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
             errors = [rec.rel_l2[(name, dataset_name)] for rec in records]
             norms = [jacobian_spectral_norm(params, pair.sample.values, y_grid,
                                             tol=power_tol,
-                                            max_iter=power_max_iter).spectral_norm
+                                            max_iter=power_max_iter,
+                                            model=model).spectral_norm
                      for pair in pairs[:spectral_functions]]
             summary.append({
                 "experiment": problem.kind,
@@ -324,6 +324,7 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
                 "c_emp_p50": c_p50,
                 "c_emp_p95": c_p95,
             })
+        del model  # free this trunk before the next model's is built
     return StabilityReport(problem.kind, summary, records)
 
 
@@ -349,14 +350,6 @@ def write_errors_csv(path, report: StabilityReport) -> None:
                                  rec.sample_id, repr(err)])
 
 
-def _on_eval_grid(problem: pb.ProblemSpec, sensor_values: np.ndarray,
-                  y_grid: np.ndarray) -> np.ndarray:
-    """Input function interpolated onto the evaluation grid for plotting."""
-    mat = pb._source_matrix(problem, y_grid if y_grid.ndim == 2
-                            else y_grid[:, None])
-    return mat @ sensor_values
-
-
 def write_plot_data(out_dir, problem: pb.ProblemSpec, report: StabilityReport,
                     y_grid: np.ndarray, sample_ids: Sequence[int] = (0, 1, 2),
                     baseline: str = "baseline", stable: str = "stable") -> list:
@@ -368,23 +361,25 @@ def write_plot_data(out_dir, problem: pb.ProblemSpec, report: StabilityReport,
     """
     paths = []
     grid_col = y_grid if y_grid.ndim == 1 else y_grid[:, 0]
+    # input functions interpolated onto the evaluation grid; built per
+    # call, because the grid is a fresh array on every evaluate call
+    to_grid = pb.source_matrix(problem, y_grid)
     for rec in report.records:
         if rec.sample_id not in sample_ids:
             continue
-        f_on_grid = _on_eval_grid(problem, rec.f, y_grid)
-        ftilde_on_grid = _on_eval_grid(problem, rec.f_tilde, y_grid)
+        f_on_grid = to_grid @ rec.f
+        ftilde_on_grid = to_grid @ rec.f_tilde
         for dataset, f_col, ft_col, truth in (
                 ("base", f_on_grid, f_on_grid, rec.u_true),
                 ("robustness", f_on_grid, ftilde_on_grid, rec.u_true_tilde)):
             path = os.path.join(
                 out_dir, f"plot_{problem.kind}_{rec.sample_id}_{dataset}.csv")
+            cols = (grid_col, f_col, ft_col, truth,
+                    rec.predictions[(baseline, dataset)],
+                    rec.predictions[(stable, dataset)])
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(PLOTDATA_CSV_HEADER)
-                pred_b = rec.predictions[(baseline, dataset)]
-                pred_s = rec.predictions[(stable, dataset)]
-                for k in range(len(truth)):
-                    writer.writerow([grid_col[k], f_col[k], ft_col[k],
-                                     truth[k], pred_b[k], pred_s[k]])
+                writer.writerows(zip(*(c.tolist() for c in cols)))
             paths.append(path)
     return paths

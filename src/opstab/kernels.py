@@ -1,4 +1,5 @@
-"""Hot numeric inner loops shared by the reference solvers and the optimizer.
+"""Sequential numeric inner loops: the tridiagonal solve of the elliptic
+oracles, the radical inverse of the Hammersley sets and the Adam update.
 
 Each kernel is written as a plain loop so the same source runs either
 JIT-compiled (numba) or interpreted, selected by ``OPSTAB_NO_NUMBA``;
@@ -35,82 +36,6 @@ def thomas_solve(lower, diag, upper, rhs):
     for i in range(n - 2, -1, -1):
         x[i] = dp[i] - cp[i] * x[i + 1]
     return x
-
-
-@maybe_njit(cache=True)
-def crank_nicolson_heat(u0, src, r, dt, nt):
-    """March u_t = alpha u_xx + src with Crank-Nicolson, zero Dirichlet BC.
-
-    u0, src: (nx,) including boundary entries; r = alpha*dt/h^2.
-    Returns the full (nt, nx) trajectory; row 0 is u0 with BC applied.
-    """
-    nx = u0.shape[0]
-    ni = nx - 2
-    out = np.zeros((nt, nx))
-    u = u0.copy()
-    u[0] = 0.0
-    u[nx - 1] = 0.0
-    out[0] = u
-    lower = np.full(ni - 1, -0.5 * r)
-    upper = np.full(ni - 1, -0.5 * r)
-    diag = np.full(ni, 1.0 + r)
-    rhs = np.empty(ni)
-    for n in range(1, nt):
-        for i in range(ni):
-            j = i + 1
-            rhs[i] = u[j] + 0.5 * r * (u[j - 1] - 2.0 * u[j] + u[j + 1]) + dt * src[j]
-        inner = thomas_solve(lower, diag, upper, rhs)
-        for i in range(ni):
-            u[i + 1] = inner[i]
-        out[n] = u
-    return out
-
-
-@maybe_njit(cache=True)
-def implicit_euler_picard(u0, forcing, kprofile, ksign, diffusion, dt, nt, h,
-                          tol, max_picard):
-    """March u_t = D u_xx + ksign * k(x) * u^2 + forcing, zero Dirichlet BC.
-
-    The quadratic term is frozen at the previous Picard iterate inside each
-    implicit Euler step; iteration stops when the max-norm update change
-    drops below tol. Returns (trajectory (nt, nx), status, bad_step):
-    status 0 = ok, 1 = Picard failed to converge at step bad_step.
-    """
-    nx = u0.shape[0]
-    ni = nx - 2
-    out = np.zeros((nt, nx))
-    u = u0.copy()
-    u[0] = 0.0
-    u[nx - 1] = 0.0
-    out[0] = u
-    s = diffusion * dt / (h * h)
-    lower = np.full(ni - 1, -s)
-    upper = np.full(ni - 1, -s)
-    diag = np.full(ni, 1.0 + 2.0 * s)
-    rhs = np.empty(ni)
-    for n in range(1, nt):
-        prev = u.copy()
-        converged = False
-        for _ in range(max_picard):
-            for i in range(ni):
-                j = i + 1
-                react = ksign * kprofile[j] * prev[j] * prev[j]
-                rhs[i] = u[j] + dt * (react + forcing[j])
-            inner = thomas_solve(lower, diag, upper, rhs)
-            delta = 0.0
-            for i in range(ni):
-                d = abs(inner[i] - prev[i + 1])
-                if d > delta:
-                    delta = d
-                prev[i + 1] = inner[i]
-            if delta < tol:
-                converged = True
-                break
-        if not converged:
-            return out, 1, n
-        u = prev
-        out[n] = u
-    return out, 0, 0
 
 
 @maybe_njit(cache=True)

@@ -293,21 +293,25 @@ _SOURCE_MATRIX_CACHE = {}
 
 
 def _source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
-    """Interpolation matrix A with f(points) = f_sensor_values @ A.T."""
+    """source_matrix, cached for long-lived point sets (collocation)."""
     key = (problem.kind, problem.sensor_count, id(points))
     hit = _SOURCE_MATRIX_CACHE.get(key)
     if hit is not None and hit[0] is points:
         return hit[1]
-    xs = sensor_grid(problem)
-    if problem.kind == "poisson2d":
-        mat = interp_matrix_2d(xs, points)
-    elif problem.coord_dim == 2:
-        # sources depend on x only
-        mat = interp_matrix_1d(xs, points[:, 0])
-    else:
-        mat = interp_matrix_1d(xs, points[:, 0] if points.ndim == 2 else points)
+    mat = source_matrix(problem, points)
     _SOURCE_MATRIX_CACHE[key] = (points, mat)
     return mat
+
+
+def source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
+    """Interpolation matrix A with f(points) = f_sensor_values @ A.T."""
+    xs = sensor_grid(problem)
+    if problem.kind == "poisson2d":
+        return interp_matrix_2d(xs, points)
+    if problem.coord_dim == 2:
+        # sources depend on x only
+        return interp_matrix_1d(xs, points[:, 0])
+    return interp_matrix_1d(xs, points[:, 0] if points.ndim == 2 else points)
 
 
 # --------------------------------------------------------------------------

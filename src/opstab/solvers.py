@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .kernels import crank_nicolson_heat, implicit_euler_picard, thomas_solve
+from .kernels import thomas_solve
 from .sampling import FunctionSample, bitrig_values
 
 
@@ -102,6 +101,10 @@ def export_csv(solution: GridSolution, path) -> None:
 def solve_ode_rk45(f, output_grid, atol: float = 1e-8, rtol: float = 1e-8,
                    max_step: float = np.inf, first_step=None) -> GridSolution:
     """u' = f on [0, 1] with u(0) = 0 via adaptive Dormand-Prince 5(4)."""
+    # imported here: scipy.integrate costs ~0.4 s to import, and only
+    # the antiderivative oracle needs it
+    from scipy.integrate import solve_ivp
+
     fun = _as_callable(f)
     grid = np.asarray(output_grid, dtype=np.float64)
     t_span = (0.0, max(1.0, grid.max()))
@@ -117,6 +120,24 @@ def solve_ode_rk45(f, output_grid, atol: float = 1e-8, rtol: float = 1e-8,
 
 def _sample_on_grid(f, grid):
     return _as_callable(f)(grid)
+
+
+def _tridiagonal_solver(off: float, diag: float, n: int) -> Callable:
+    """LU-factor the constant tridiagonal matrix with `diag` on the main
+    diagonal and `off` on both neighbours (order n) once; the returned
+    function solves it for one right-hand side with LAPACK (gttrs)."""
+    # imported here so that importing opstab does not load scipy
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    dl, d, du, du2, ipiv, info = dgttrf(np.full(n - 1, off), np.full(n, diag),
+                                        np.full(n - 1, off))
+    if info != 0:
+        raise SolverError(f"singular time-step matrix (LAPACK info {info})")
+
+    def solve(rhs):
+        return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+    return solve
 
 
 def solve_poisson_1d_fd(f, n_grid: int) -> GridSolution:
@@ -196,7 +217,13 @@ def solve_heat_fd(problem_kind: str, f, alpha: float, nx: int, nt: int,
     else:
         u0, src = np.zeros(nx), profile
     r = alpha * dt / (h * h)
-    values = crank_nicolson_heat(u0, src, r, dt, nt)
+    solve = _tridiagonal_solver(-0.5 * r, 1.0 + r, nx - 2)
+    values = np.zeros((nt, nx))
+    values[0, 1:-1] = u0[1:-1]
+    for n in range(1, nt):
+        u = values[n - 1]
+        values[n, 1:-1] = solve(u[1:-1] + 0.5 * r * (u[:-2] - 2.0 * u[1:-1] + u[2:])
+                                + dt * src[1:-1])
     return GridSolution((x, t), values, {
         "method": "crank-nicolson", "nx": nx, "nt": nt, "order": 2,
         "alpha": alpha, "t_final": t_final,
@@ -212,7 +239,9 @@ def solve_diffusion_reaction(f_or_k, mode: str, diffusion: float,
     mode "source":      u_t = D u_xx + k_const u^2 + f(x)
     mode "coefficient": u_t = D u_xx - k(x) u^2 + sin(pi x)
     Implicit Euler in time with the quadratic term frozen at the previous
-    Picard iterate each step.
+    Picard iterate each step; a step's iteration stops once the max-norm
+    change of the iterate drops below picard_tol, and PicardError names
+    the first step that needed more than max_picard iterations.
     """
     x = np.linspace(0.0, 1.0, nx)
     t = np.linspace(0.0, 1.0, nt)
@@ -225,12 +254,23 @@ def solve_diffusion_reaction(f_or_k, mode: str, diffusion: float,
         forcing, kprofile, ksign = np.sin(np.pi * x), profile, -1.0
     else:
         raise ValueError(f"unknown diffusion-reaction mode {mode!r}")
-    u0 = np.zeros(nx)
-    values, status, bad_step = implicit_euler_picard(
-        u0, forcing, kprofile, ksign, diffusion, dt, nt, h, picard_tol,
-        max_picard)
-    if status != 0:
-        raise PicardError(int(bad_step))
+    s = diffusion * dt / (h * h)
+    solve = _tridiagonal_solver(-s, 1.0 + 2.0 * s, nx - 2)
+    react = ksign * kprofile[1:-1]
+    forcing = forcing[1:-1]
+    values = np.zeros((nt, nx))
+    for n in range(1, nt):
+        u = values[n - 1, 1:-1]
+        prev = u
+        for _ in range(max_picard):
+            inner = solve(u + dt * (react * prev * prev + forcing))
+            delta = np.max(np.abs(inner - prev))
+            prev = inner
+            if delta < picard_tol:
+                break
+        else:
+            raise PicardError(n)
+        values[n, 1:-1] = prev
     return GridSolution((x, t), values, {
         "method": "implicit-euler-picard", "nx": nx, "nt": nt, "order": 1,
         "diffusion": diffusion, "mode": mode,

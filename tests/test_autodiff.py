@@ -88,6 +88,26 @@ class TestGrad:
         y = ad.square(x)
         assert ad.grad(y, [z])[z] == 0.0
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_constant_operand_gives_leaf_operand_gradient(self, op, side):
+        # grad skips the rule of an operand that needs no gradient; the
+        # other operand's gradient must not change by a bit
+        rng = np.random.default_rng(11)
+        shapes = [(3, 4), (4, 5)] if op == "matmul" else [(3, 4), (1, 4)]
+        values = [rng.uniform(0.5, 1.5, size=s) for s in shapes]
+        fn = getattr(ad, op)
+
+        def gradient(other_is_leaf):
+            tape = ad.Tape()
+            wrt = tape.leaf(values[side])
+            other = (tape.leaf(values[1 - side]) if other_is_leaf
+                     else values[1 - side])
+            args = (wrt, other) if side == 0 else (other, wrt)
+            return ad.grad(ad.total(ad.tanh(fn(*args))), [wrt])[wrt]
+
+        assert np.array_equal(gradient(False), gradient(True))
+
     def test_nonscalar_output_rejected(self):
         tape = ad.Tape()
         x = tape.leaf([1.0, 2.0])

@@ -1,11 +1,14 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from opstab import cli
 from opstab import deeponet as dn
+from opstab import problems as pb
 from opstab.config import (RunConfig, ValidationError, parse_config,
                            parse_config_string, write_config)
 
@@ -190,6 +193,17 @@ class TestCliEvaluate:
         plot = out / "plot_poisson1d_0_base.csv"
         assert plot.exists()
 
+    def test_repeated_evaluate_keeps_source_cache_size(self, tmp_path):
+        path, out = write_small_config(tmp_path)
+        cli.main(["train", "--config", str(path)])
+        ckpt = str(out / "checkpoint_stable.npz")
+        argv = ["evaluate", "--config", str(path), "--baseline", ckpt,
+                "--stable", ckpt]
+        assert cli.main(argv) == 0
+        cached = len(pb._SOURCE_MATRIX_CACHE)
+        assert cli.main(argv) == 0
+        assert len(pb._SOURCE_MATRIX_CACHE) == cached
+
     def test_arch_mismatch_is_validation_error(self, tmp_path):
         path, out = write_small_config(tmp_path)
         cli.main(["train", "--config", str(path)])
@@ -224,6 +238,18 @@ class TestCliOther:
             header = fh.readline().strip().split(",")
         assert header[:2] == ["f0", "f1"]
         assert header[-3:] == ["kind", "seed", "length_scale"]
+
+    def test_import_loads_no_scipy(self):
+        # scipy.integrate alone takes ~0.4 s to import; only the oracles
+        # that need scipy import it, when they run
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, opstab.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_selftest_passes(self, capsys):
         assert cli.cmd_selftest(None) == 0

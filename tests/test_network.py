@@ -109,6 +109,49 @@ class TestForward:
                               dn.forward(params, f, coords))
 
 
+GRID_CASES = [("none", np.linspace(0, 1, 9)),
+              ("dirichlet_1d", np.linspace(0, 1, 9)),
+              ("dirichlet_2d_space", np.random.default_rng(5).uniform(0, 1, (40, 2))),
+              ("zero_ic_dirichlet_bc", np.random.default_rng(6).uniform(0, 1, (40, 2)))]
+
+
+class TestGridModel:
+    @pytest.mark.parametrize("transform,coords", GRID_CASES)
+    def test_equals_apply_net_bit_for_bit(self, transform, coords):
+        arch = small_arch(transform, coord_dim=1 if coords.ndim == 1 else 2)
+        params = dn.glorot_init(arch, 3)
+        params.output_bias = np.array(0.3)
+        rows = np.random.default_rng(1).standard_normal((4, 12))
+        cols = dn._as_coord_cols(coords)
+        want = dn.apply_net(params, rows, cols)
+        grid = dn.GridModel(params, coords)
+        assert np.array_equal(grid(rows), want)
+        assert np.array_equal(dn.forward(params, rows, coords), want)
+        assert np.array_equal(dn.forward(grid, rows, coords), want)
+
+        direction = np.random.default_rng(2).standard_normal((4, 12))
+        jvp_grid = ad.tangent_of(grid(ad.Dual(rows, direction)))
+        jvp_net = ad.tangent_of(dn.apply_net(params, ad.Dual(rows, direction), cols))
+        assert np.array_equal(jvp_grid, jvp_net)
+
+        grads = []
+        for fn in (grid, lambda f: dn.apply_net(params, f, cols)):
+            tape = ad.Tape()
+            f_var = tape.leaf(rows)
+            grads.append(ad.grad(ad.total(ad.square(fn(f_var))), [f_var])[f_var])
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_reused_only_on_its_own_coordinates(self):
+        params = dn.glorot_init(small_arch(), 4)
+        coords = np.linspace(0, 1, 7)
+        grid = dn.on_grid(params, coords)
+        assert dn.on_grid(grid, coords.copy()) is grid
+        with pytest.raises(dn.ArchError):
+            dn.on_grid(grid, np.linspace(0, 1, 8))
+        with pytest.raises(dn.ArchError):
+            dn.forward(grid, np.ones(12), coords[::-1])
+
+
 class TestTransforms:
     def test_dirichlet_1d_zero_at_ends(self):
         params = dn.glorot_init(small_arch("dirichlet_1d"), 1)

@@ -184,6 +184,80 @@ class TestHeat:
             sv.solve_heat_fd("heat_xyz", lambda x: x, 0.01, 11, 11)
 
 
+def dense_tridiagonal(off, diag, n):
+    return (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, off), 1)
+            + np.diag(np.full(n - 1, off), -1))
+
+
+def dense_crank_nicolson(u0, src, r, dt, nt):
+    """Reference march: one dense np.linalg.solve per time step."""
+    a = dense_tridiagonal(-0.5 * r, 1.0 + r, len(u0) - 2)
+    out = np.zeros((nt, len(u0)))
+    out[0, 1:-1] = u0[1:-1]
+    for n in range(1, nt):
+        u = out[n - 1]
+        rhs = u[1:-1] + 0.5 * r * (u[:-2] - 2.0 * u[1:-1] + u[2:]) + dt * src[1:-1]
+        out[n, 1:-1] = np.linalg.solve(a, rhs)
+    return out
+
+
+def dense_picard(forcing, kprofile, ksign, diffusion, dt, nt, h, tol=1e-10):
+    """Reference march: implicit Euler plus Picard, dense solves."""
+    nx = len(forcing)
+    s = diffusion * dt / (h * h)
+    a = dense_tridiagonal(-s, 1.0 + 2.0 * s, nx - 2)
+    out = np.zeros((nt, nx))
+    for n in range(1, nt):
+        u = out[n - 1, 1:-1]
+        prev = u
+        for _ in range(50):
+            rhs = u + dt * (ksign * kprofile[1:-1] * prev * prev + forcing[1:-1])
+            inner = np.linalg.solve(a, rhs)
+            done = np.max(np.abs(inner - prev)) < tol
+            prev = inner
+            if done:
+                break
+        out[n, 1:-1] = prev
+    return out
+
+
+class TestBandedMarches:
+    """The LAPACK tridiagonal marches against dense solves at nx = 21."""
+
+    nx = 21
+    x = np.linspace(0.0, 1.0, nx)
+
+    @pytest.mark.parametrize("kind", ["heat_ic", "heat_source"])
+    def test_crank_nicolson(self, kind):
+        f = lambda x: np.sin(np.pi * x) + 0.5 * x
+        alpha, nt = 0.05, 31
+        sol = sv.solve_heat_fd(kind, f, alpha, self.nx, nt)
+        profile, zero = f(self.x), np.zeros(self.nx)
+        u0, src = (profile, zero) if kind == "heat_ic" else (zero, profile)
+        dt, h = 1.0 / (nt - 1), 1.0 / (self.nx - 1)
+        want = dense_crank_nicolson(u0, src, alpha * dt / h ** 2, dt, nt)
+        assert np.abs(sol.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["source", "coefficient"])
+    def test_implicit_euler_picard(self, mode):
+        f = lambda x: 1.0 + 4.0 * x
+        nt = 31
+        sol = sv.solve_diffusion_reaction(f, mode, 0.02, 0.5, self.nx, nt)
+        if mode == "source":
+            forcing, kprofile, ksign = f(self.x), np.full(self.nx, 0.5), 1.0
+        else:
+            forcing, kprofile, ksign = np.sin(np.pi * self.x), f(self.x), -1.0
+        want = dense_picard(forcing, kprofile, ksign, 0.02, 1.0 / (nt - 1), nt,
+                            1.0 / (self.nx - 1))
+        assert np.abs(sol.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_picard_error_names_the_failed_step(self):
+        with pytest.raises(sv.PicardError, match="time step 1$") as err:
+            sv.solve_diffusion_reaction(lambda x: np.sin(np.pi * x), "source",
+                                        0.01, 0.01, self.nx, 11, max_picard=1)
+        assert err.value.step == 1
+
+
 class TestDiffusionReaction:
     def test_zero_forcing_source_mode(self):
         sol = sv.solve_diffusion_reaction(lambda x: np.zeros_like(x), "source",
