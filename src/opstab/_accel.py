@@ -1,31 +1,7 @@
-"""Numba shim: JIT hot kernels when available, fall back to plain Python.
+"""numba is no longer used: every numeric loop is numpy or LAPACK.
 
-Set ``OPSTAB_NO_NUMBA=1`` to force the pure-numpy/Python fallback path
-(useful for debugging and for the kernel benchmark). The flag is read
-once at import time.
+NUMBA_ENABLED stays only because the benchmark's host record
+(perfbench/run.py) reads it; remove this module together with that read.
 """
 
-import os
-
-NUMBA_DISABLED = os.environ.get("OPSTAB_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by OPSTAB_NO_NUMBA")
-    from numba import njit as _njit
-
-    NUMBA_ENABLED = True
-
-    def maybe_njit(*args, **kwargs):
-        return _njit(*args, **kwargs)
-
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def maybe_njit(*args, **kwargs):
-        # mirror numba's decorator-with-or-without-arguments behaviour
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+NUMBA_ENABLED = False

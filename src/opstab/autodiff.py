@@ -2,8 +2,7 @@
 
 The engine works on float64 numpy arrays. A :class:`Tape` records every
 primitive operation in construction order; one reverse sweep over that
-record yields gradients for any set of leaves, and the record can be
-replayed to reproduce all intermediate values bit-for-bit.
+record yields gradients for any set of leaves.
 
 Forward mode is provided by :class:`Dual` values. A Dual's components may
 be plain arrays or tape variables, and duals nest, so pushing a
@@ -153,8 +152,7 @@ class Tape:
 
     Construction order is evaluation order, so a single reverse iteration
     over the record visits children before parents. The record is never
-    mutated by grad(); it can back any number of reverse sweeps and can be
-    replayed to recompute every value.
+    mutated by grad(); it can back any number of reverse sweeps.
     """
 
     def __init__(self):
@@ -198,16 +196,6 @@ class Tape:
         requires = any(self._requires[v.index] for v in operand_vars)
         return self._push(name, tuple(v.index for v in operand_vars), ctx,
                           _f64(out), requires)
-
-    def replay(self):
-        """Recompute every node from the record; returns the value list."""
-        values = []
-        for (name, parents, ctx), stored in zip(self._ops, self._values):
-            if name in ("leaf", "const"):
-                values.append(stored)
-            else:
-                values.append(_f64(_FORWARD[name](ctx, *[values[p] for p in parents])))
-        return values
 
 
 class Var:

@@ -23,23 +23,16 @@ class ValidationError(ValueError):
     """Configuration failed validation; message names the offender."""
 
 
-_CONSTANT_KEYS = {
-    "antiderivative": (),
-    "poisson1d": (),
-    "poisson2d": (),
-    "helmholtz_neumann": ("shift",),
-    "heat_ic": ("alpha",),
-    "heat_source": ("alpha",),
-    "diffrec_source": ("diffusion", "reaction"),
-    "diffrec_coeff": ("diffusion",),
-}
+# every kind's constants are [problem] keys; each kind accepts only its own
+_CONSTANTS = tuple(sorted({name for entry in pb.REGISTRY.values()
+                           for name in entry.constants}))
 
 _SECTIONS = {
     "run": ("output_dir", "seed", "mode"),
     "problem": ("kind", "sensor_count", "interior_points", "boundary_points",
                 "initial_points", "sampler", "length_scale", "variance",
-                "coeff_lo", "coeff_hi", "modes", "rescale_lo", "rescale_hi",
-                "alpha", "diffusion", "reaction", "shift"),
+                "coeff_lo", "coeff_hi", "modes", "rescale_lo", "rescale_hi")
+    + _CONSTANTS,
     "arch": ("width", "depth", "transform"),
     "train": ("steps", "batch_size", "learning_rate", "adam_beta1",
               "adam_beta2", "adam_eps", "warmup_fraction",
@@ -139,8 +132,8 @@ def _from_parser(parser) -> RunConfig:
         raise ValidationError(f"[problem] kind: unknown problem {kind!r}")
 
     defaults = pb.default_problem(kind)
-    for key in ("alpha", "diffusion", "reaction", "shift"):
-        if parser.has_option("problem", key) and key not in _CONSTANT_KEYS[kind]:
+    for key in _CONSTANTS:
+        if parser.has_option("problem", key) and key not in defaults.constants:
             raise ValidationError(
                 f"[problem] {key}: not applicable to {kind}")
 
@@ -156,7 +149,7 @@ def _from_parser(parser) -> RunConfig:
     )
     constants = {key: _get(parser, "problem", key, float,
                            defaults.constants[key])
-                 for key in _CONSTANT_KEYS[kind]}
+                 for key in defaults.constants}
 
     s_def = defaults.sampler
     rescale_lo = _get(parser, "problem", "rescale_lo", float,
@@ -177,7 +170,7 @@ def _from_parser(parser) -> RunConfig:
         modes=_get(parser, "problem", "modes", int, s_def.modes),
         rescale=None if rescale_lo is None else (rescale_lo, rescale_hi),
     )
-    if sampler.kind not in ("grf", "poly3", "bitrig"):
+    if sampler.kind not in pb.SAMPLERS:
         raise ValidationError(f"[problem] sampler: unknown {sampler.kind!r}")
 
     try:
@@ -188,10 +181,10 @@ def _from_parser(parser) -> RunConfig:
         raise ValidationError(str(exc)) from exc
 
     transform = _get(parser, "arch", "transform", str,
-                     pb.ALLOWED_TRANSFORMS[kind][0])
+                     problem.entry.transforms[0])
     if transform not in TRANSFORMS:
         raise ValidationError(f"[arch] transform: unknown {transform!r}")
-    if transform not in pb.ALLOWED_TRANSFORMS[kind]:
+    if transform not in problem.entry.transforms:
         raise ValidationError(
             f"[arch] transform {transform!r} is invalid for {kind}")
     try:
@@ -290,7 +283,7 @@ def write_config(path, rc: RunConfig) -> None:
              f"rescale_lo = {_fmt(sampler.rescale[0] if sampler.rescale else None)}",
              f"rescale_hi = {_fmt(sampler.rescale[1] if sampler.rescale else None)}"]
     lines += [f"{key} = {_fmt(problem.constants[key])}"
-              for key in _CONSTANT_KEYS[problem.kind]]
+              for key in problem.entry.constants]
     lines += ["",
               "[arch]",
               f"width = {rc.arch.branch_widths[1]}",

@@ -159,22 +159,19 @@ def trunk_apply(params: DeepONetParams, coords_cols):
     return h
 
 
-def merge(params: DeepONetParams, branch_out, trunk_out, coords_cols,
-          raw: bool = False):
+def merge(params: DeepONetParams, branch_out, trunk_out, coords_cols):
     """Inner-product merge plus bias, then the configured transform."""
     u = ad.add(ad.matmul(branch_out, trunk_out), params.output_bias)
-    if raw:
-        return u
     mask = transform_mask(params.arch.transform, coords_cols)
     if mask is not None:
         u = ad.mul(u, mask)
     return u
 
 
-def apply_net(params: DeepONetParams, f_rows, coords_cols, raw: bool = False):
+def apply_net(params: DeepONetParams, f_rows, coords_cols):
     """Full network on (batch, m) rows and (dim, npts) coordinate columns."""
     return merge(params, branch_apply(params, f_rows),
-                 trunk_apply(params, coords_cols), coords_cols, raw=raw)
+                 trunk_apply(params, coords_cols), coords_cols)
 
 
 def _as_coord_cols(coords):

@@ -19,9 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from . import deeponet as dn
 from . import problems as pb
-from . import solvers as sv
 from .attacks import AttackConfig, attack_solution_error, perturbation_norm
-from .sampling import FunctionSample, bitrig_values
+from .sampling import FunctionSample
 
 ERRORS_CSV_HEADER = ["experiment", "model", "dataset", "sample_id", "relative_l2"]
 SUMMARY_CSV_HEADER = ["experiment", "model", "dataset", "mean_rel_l2",
@@ -30,8 +29,7 @@ PLOTDATA_CSV_HEADER = ["x_grid", "f", "f_tilde", "u_true",
                        "pred_baseline", "pred_stable"]
 
 # reference-solver resolution: error ~1e-4, an order below typical model error
-DEFAULT_ELLIPTIC_N = 201
-DEFAULT_PARABOLIC_N = 201
+DEFAULT_REFERENCE_N = 201
 
 
 class DegenerateReferenceError(ValueError):
@@ -62,53 +60,12 @@ def relative_l2(pred, truth) -> float:
 # reference solutions per problem
 # --------------------------------------------------------------------------
 
-def _bitrig_coeffs_from_sensors(problem: pb.ProblemSpec,
-                                values: np.ndarray) -> np.ndarray:
-    """Invert the sine basis on the interior sensor grid."""
-    modes = problem.sampler.modes
-    sensors = pb.sensor_grid(problem)
-    basis = np.column_stack([
-        (np.sin((r + 1) * np.pi * sensors[:, 0])
-         * np.sin((s + 1) * np.pi * sensors[:, 1]))
-        for r in range(modes) for s in range(modes)
-    ])
-    coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return coeffs.reshape(modes, modes)
-
-
 def reference_solution(problem: pb.ProblemSpec, sample: FunctionSample,
                        eval_points: np.ndarray,
                        resolution: Optional[int] = None) -> np.ndarray:
     """u_true on the evaluation grid from the problem's classical solver."""
-    kind = problem.kind
-    const = problem.constants
-    if kind == "antiderivative":
-        return sv.solve_ode_rk45(sample, eval_points).values
-    if kind == "poisson1d":
-        n = resolution or DEFAULT_ELLIPTIC_N
-        return sv.solve_poisson_1d_fd(sample, n).eval_at(eval_points)
-    if kind == "helmholtz_neumann":
-        n = resolution or DEFAULT_ELLIPTIC_N
-        return sv.solve_helmholtz_neumann_fd(sample, n,
-                                             shift=const["shift"]).eval_at(eval_points)
-    if kind == "poisson2d":
-        coeffs = sample.meta.get("coeffs")
-        if coeffs is None:
-            coeffs = _bitrig_coeffs_from_sensors(problem, sample.values)
-        return sv.solve_poisson_2d_analytic(coeffs, eval_points).values
-    n = resolution or DEFAULT_PARABOLIC_N
-    if kind in ("heat_ic", "heat_source"):
-        sol = sv.solve_heat_fd(kind, sample, const["alpha"], n, n)
-        return sol.eval_at(eval_points)
-    if kind == "diffrec_source":
-        sol = sv.solve_diffusion_reaction(sample, "source", const["diffusion"],
-                                          const["reaction"], n, n)
-        return sol.eval_at(eval_points)
-    if kind == "diffrec_coeff":
-        sol = sv.solve_diffusion_reaction(sample, "coefficient",
-                                          const["diffusion"], 0.0, n, n)
-        return sol.eval_at(eval_points)
-    raise pb.ProblemError(f"no reference solver for {kind!r}")
+    return problem.entry.reference(problem, sample, eval_points,
+                                   resolution or DEFAULT_REFERENCE_N)
 
 
 # --------------------------------------------------------------------------

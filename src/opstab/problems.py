@@ -1,52 +1,26 @@
 """Problem definitions: residual operators, collocation layouts, losses.
 
-One entry per experiment family. Each problem knows its residual operator
-(built from exact network derivatives), its boundary/initial penalty
-terms, its collocation layout, and which input-function sampler feeds it.
-The loss builders run identically on plain numpy arrays (fast evaluation,
-attacks) and on tape variables (training), so the same code path is
-exercised everywhere.
+Each problem kind is one Kind entry in REGISTRY: its defaults, valid
+transforms, coordinate dimension, residual operator (built from exact
+network derivatives), boundary/initial penalty terms, sensor layout and
+reference oracle. The loss builders run identically on plain numpy
+arrays (fast evaluation, attacks) and on tape variables (training), so
+the same code path is exercised everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import deeponet as dn
+from . import solvers as sv
 from .sampling import (FunctionSample, GrfSpec, hammersley_interior,
                        rescale_to_range, sample_bitrig, sample_grf,
                        sample_polynomial_deg3)
-
-KINDS = (
-    "antiderivative",
-    "poisson1d",
-    "poisson2d",
-    "helmholtz_neumann",
-    "heat_ic",
-    "heat_source",
-    "diffrec_source",
-    "diffrec_coeff",
-)
-
-_TIME_DEPENDENT = ("heat_ic", "heat_source", "diffrec_source", "diffrec_coeff")
-
-# transforms that are mathematically valid per problem (the first entry is
-# the default); a transform may only be configured if the constraint it
-# hard-codes matches the problem's actual boundary/initial conditions
-ALLOWED_TRANSFORMS = {
-    "antiderivative": ("none",),
-    "poisson1d": ("none", "dirichlet_1d"),
-    "poisson2d": ("dirichlet_2d_space", "none"),
-    "helmholtz_neumann": ("none",),
-    "heat_ic": ("none",),
-    "heat_source": ("none", "zero_ic_dirichlet_bc"),
-    "diffrec_source": ("none", "zero_ic_dirichlet_bc"),
-    "diffrec_coeff": ("none", "zero_ic_dirichlet_bc"),
-}
 
 
 class ProblemError(ValueError):
@@ -57,7 +31,7 @@ class ProblemError(ValueError):
 class SamplerSpec:
     """Which input-function distribution feeds a problem."""
 
-    kind: str  # grf | poly3 | bitrig
+    kind: str  # a key of SAMPLERS
     length_scale: float = 0.2
     variance: float = 1.0
     coeff_range: tuple = (-1.0, 1.0)
@@ -74,71 +48,41 @@ class ProblemSpec:
     sampler: SamplerSpec = SamplerSpec("grf")
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in REGISTRY:
             raise ProblemError(f"unknown problem kind {self.kind!r}")
-        for name in _REQUIRED_CONSTANTS[self.kind]:
+        for name in self.entry.constants:
             if name not in self.constants:
                 raise ProblemError(f"{self.kind} requires constant {name!r}")
-        if self.kind == "poisson2d":
-            g = int(round(np.sqrt(self.sensor_count)))
-            if g * g != self.sensor_count:
-                raise ProblemError("poisson2d sensor_count must be a square")
+        if self.sensor_count < 1:
+            raise ProblemError("sensor_count must be positive")
+        sensor_grid(self)  # the layout rejects counts it cannot hold
+
+    @property
+    def entry(self) -> Kind:
+        return REGISTRY[self.kind]
 
     @property
     def coord_dim(self):
-        return 2 if self.kind in _TIME_DEPENDENT or self.kind == "poisson2d" else 1
-
-
-_REQUIRED_CONSTANTS = {
-    "antiderivative": (),
-    "poisson1d": (),
-    "poisson2d": (),
-    "helmholtz_neumann": ("shift",),
-    "heat_ic": ("alpha",),
-    "heat_source": ("alpha",),
-    "diffrec_source": ("diffusion", "reaction"),
-    "diffrec_coeff": ("diffusion",),
-}
-
-_DEFAULTS = {
-    "antiderivative": dict(sensor_count=50, collocation_counts=(20, 0, 1),
-                           constants={}, sampler=SamplerSpec("grf", length_scale=0.2)),
-    "poisson1d": dict(sensor_count=100, collocation_counts=(100, 2, 0),
-                      constants={}, sampler=SamplerSpec("poly3")),
-    "poisson2d": dict(sensor_count=100, collocation_counts=(10000, 0, 0),
-                      constants={}, sampler=SamplerSpec("bitrig", modes=10)),
-    "helmholtz_neumann": dict(sensor_count=100, collocation_counts=(100, 2, 0),
-                              constants={"shift": 2.0},
-                              sampler=SamplerSpec("grf", length_scale=0.2)),
-    "heat_ic": dict(sensor_count=100, collocation_counts=(200, 40, 20),
-                    constants={"alpha": 0.01},
-                    sampler=SamplerSpec("grf", length_scale=1.0)),
-    "heat_source": dict(sensor_count=100, collocation_counts=(200, 40, 20),
-                        constants={"alpha": 0.01},
-                        sampler=SamplerSpec("grf", length_scale=0.2)),
-    "diffrec_source": dict(sensor_count=100, collocation_counts=(200, 40, 20),
-                           constants={"diffusion": 0.01, "reaction": 0.01},
-                           sampler=SamplerSpec("grf", length_scale=0.2)),
-    "diffrec_coeff": dict(sensor_count=100, collocation_counts=(200, 40, 20),
-                          constants={"diffusion": 0.01},
-                          sampler=SamplerSpec("grf", length_scale=1.4,
-                                              rescale=(1.0, 5.0))),
-}
+        return self.entry.coord_dim
 
 
 def default_problem(kind: str, **overrides) -> ProblemSpec:
-    if kind not in _DEFAULTS:
+    if kind not in REGISTRY:
         raise ProblemError(f"unknown problem kind {kind!r}")
-    cfg = dict(_DEFAULTS[kind])
+    entry = REGISTRY[kind]
+    cfg = dict(sensor_count=entry.sensor_count,
+               collocation_counts=entry.collocation_counts,
+               constants=dict(entry.constants), sampler=entry.sampler)
     cfg.update(overrides)
     return ProblemSpec(kind=kind, **cfg)
 
 
 def default_arch(problem: ProblemSpec, width: int = 128, depth: int = 3,
                  transform: Optional[str] = None) -> dn.ArchSpec:
+    allowed = problem.entry.transforms
     if transform is None:
-        transform = ALLOWED_TRANSFORMS[problem.kind][0]
-    elif transform not in ALLOWED_TRANSFORMS[problem.kind]:
+        transform = allowed[0]
+    elif transform not in allowed:
         raise ProblemError(
             f"transform {transform!r} is invalid for {problem.kind}")
     return dn.ArchSpec(
@@ -165,41 +109,44 @@ _SENSOR_GRID_CACHE = {}
 
 
 def sensor_grid(problem: ProblemSpec) -> np.ndarray:
-    """(m,) uniform sensors, or an (m, 2) uniform grid for poisson2d."""
+    """The kind's sensor coordinates: (m,) in 1-d, (m, 2) on a 2-d grid."""
     key = (problem.kind, problem.sensor_count)
     grid = _SENSOR_GRID_CACHE.get(key)
     if grid is None:
-        if problem.kind == "poisson2d":
-            # interior tensor grid: the sine basis is invertible there, so
-            # perturbed sensor values still determine an exact solution
-            g = int(round(np.sqrt(problem.sensor_count)))
-            axis = np.arange(1, g + 1) / (g + 1)
-            gx, gy = np.meshgrid(axis, axis)
-            grid = np.column_stack([gx.ravel(), gy.ravel()])
-        else:
-            grid = np.linspace(0.0, 1.0, problem.sensor_count)
+        grid = problem.entry.sensors(problem.sensor_count)
         grid.setflags(write=False)
         _SENSOR_GRID_CACHE[key] = grid
     return grid
 
 
+def _uniform_sensors(m: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, m)
+
+
+def _interior_tensor_sensors(m: int) -> np.ndarray:
+    """g x g interior tensor grid, x varying fastest: the sine basis is
+    invertible there, so perturbed sensor values still determine an
+    exact solution."""
+    g = int(round(np.sqrt(m)))
+    if g * g != m:
+        raise ProblemError(f"sensor_count {m} is not a square; the sensors "
+                           "form a g x g grid")
+    axis = np.arange(1, g + 1) / (g + 1)
+    gx, gy = np.meshgrid(axis, axis)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 def eval_grid(problem: ProblemSpec, n: Optional[int] = None) -> np.ndarray:
     """Uniform evaluation grid: (n,) in 1-d, flattened (n*n, 2) in 2-d."""
+    axis = np.linspace(0.0, 1.0, n or problem.entry.eval_n)
     if problem.coord_dim == 1:
-        n = n or (50 if problem.kind == "antiderivative" else 100)
-        return np.linspace(0.0, 1.0, n)
-    n = n or 100
-    axis = np.linspace(0.0, 1.0, n)
+        return axis
     ga, gb = np.meshgrid(axis, axis)
     return np.column_stack([ga.ravel(), gb.ravel()])
 
 
-def make_collocation(problem: ProblemSpec, seed: int = 0) -> CollocationSet:
-    """Deterministic layout: low-discrepancy interior, uniform edges.
-
-    The seed parameter is accepted for interface stability; the layouts
-    are fully deterministic.
-    """
+def make_collocation(problem: ProblemSpec) -> CollocationSet:
+    """Deterministic layout: low-discrepancy interior, uniform edges."""
     n_int, n_bc, n_ic = problem.collocation_counts
     dim = problem.coord_dim
     interior = hammersley_interior(n_int, dim)
@@ -227,22 +174,34 @@ def make_collocation(problem: ProblemSpec, seed: int = 0) -> CollocationSet:
     return CollocationSet(interior, boundary, initial)
 
 
+def _draw_grf(spec: SamplerSpec, xs, seed):
+    sample = sample_grf(GrfSpec(spec.length_scale, spec.variance), xs, seed)
+    if spec.rescale is not None:
+        sample = rescale_to_range(sample, *spec.rescale)
+    return sample
+
+
+def _draw_bitrig(spec: SamplerSpec, xs, seed):
+    coeffs, sample = sample_bitrig(spec.modes, spec.modes, xs, seed)
+    sample.meta["coeffs"] = coeffs
+    return sample
+
+
+# input-function distributions, keyed by SamplerSpec.kind
+SAMPLERS = {
+    "grf": _draw_grf,
+    "poly3": lambda spec, xs, seed: sample_polynomial_deg3(spec.coeff_range,
+                                                           xs, seed),
+    "bitrig": _draw_bitrig,
+}
+
+
 def sample_input(problem: ProblemSpec, seed: int) -> FunctionSample:
     """One draw from the problem's input-function distribution."""
     spec = problem.sampler
-    xs = sensor_grid(problem)
-    if spec.kind == "grf":
-        sample = sample_grf(GrfSpec(spec.length_scale, spec.variance), xs, seed)
-        if spec.rescale is not None:
-            sample = rescale_to_range(sample, *spec.rescale)
-        return sample
-    if spec.kind == "poly3":
-        return sample_polynomial_deg3(spec.coeff_range, xs, seed)
-    if spec.kind == "bitrig":
-        coeffs, sample = sample_bitrig(spec.modes, spec.modes, xs, seed)
-        sample.meta["coeffs"] = coeffs
-        return sample
-    raise ProblemError(f"unknown sampler kind {spec.kind!r}")
+    if spec.kind not in SAMPLERS:
+        raise ProblemError(f"unknown sampler kind {spec.kind!r}")
+    return SAMPLERS[spec.kind](spec, sensor_grid(problem), seed)
 
 
 def sample_batch(problem: ProblemSpec, base_seed: int, n: int):
@@ -304,32 +263,19 @@ def _source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
 
 
 def source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
-    """Interpolation matrix A with f(points) = f_sensor_values @ A.T."""
+    """Interpolation matrix A with f(points) = f_sensor_values @ A.T.
+
+    On 1-d sensors the source depends on x (the first coordinate) only.
+    """
     xs = sensor_grid(problem)
-    if problem.kind == "poisson2d":
+    if xs.ndim == 2:
         return interp_matrix_2d(xs, points)
-    if problem.coord_dim == 2:
-        # sources depend on x only
-        return interp_matrix_1d(xs, points[:, 0])
     return interp_matrix_1d(xs, points[:, 0] if points.ndim == 2 else points)
 
 
 # --------------------------------------------------------------------------
-# loss assembly
+# coordinate jets of the predicted solution
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    physics: float
-    bc: float
-    ic: float
-    total: float
-
-    @classmethod
-    def from_terms(cls, physics, bc, ic):
-        physics, bc, ic = float(physics), float(bc), float(ic)
-        return cls(physics, bc, ic, physics + bc + ic)
-
 
 def _check_domain(points: np.ndarray):
     if points.size and (points.min() < -1e-12 or points.max() > 1.0 + 1e-12):
@@ -413,50 +359,219 @@ class _GraphPredictor:
         return self.u_fn(_as_cols(points))
 
 
-def _interior_residual(problem: ProblemSpec, pred, f_rows, points: np.ndarray):
-    """Residual block (batch, n_points); differentiable in params and f."""
-    kind = problem.kind
-    const = problem.constants
-    if kind == "antiderivative":
-        _, du, _ = pred.jet(points, 0, 1)
-        src = ad.matmul(f_rows, _source_matrix(problem, points).T)
-        return ad.sub(du, src)
-    if kind == "poisson1d":
-        _, _, d2u = pred.jet(points, 0, 2)
-        src = ad.matmul(f_rows, _source_matrix(problem, points).T)
-        return ad.sub(ad.neg(d2u), src)
-    if kind == "poisson2d":
-        _, _, uxx = pred.jet(points, 0, 2)
-        _, _, uyy = pred.jet(points, 1, 2)
-        src = ad.matmul(f_rows, _source_matrix(problem, points).T)
-        return ad.sub(ad.neg(ad.add(uxx, uyy)), src)
-    if kind == "helmholtz_neumann":
-        u, _, d2u = pred.jet(points, 0, 2)
-        src = ad.matmul(f_rows, _source_matrix(problem, points).T)
-        return ad.sub(ad.add(ad.neg(d2u), ad.mul(const["shift"], u)), src)
-    if kind in ("heat_ic", "heat_source"):
-        u, _, uxx = pred.jet(points, 0, 2)
-        _, ut, _ = pred.jet(points, 1, 1)
-        diffused = ad.sub(ut, ad.mul(const["alpha"], uxx))
-        if kind == "heat_ic":
-            return diffused
-        src = ad.matmul(f_rows, _source_matrix(problem, points).T)
-        return ad.sub(diffused, src)
-    if kind == "diffrec_source":
-        u, _, uxx = pred.jet(points, 0, 2)
-        _, ut, _ = pred.jet(points, 1, 1)
-        src = ad.matmul(f_rows, _source_matrix(problem, points).T)
-        react = ad.mul(const["reaction"], ad.square(u))
-        return ad.sub(ad.sub(ad.sub(ut, ad.mul(const["diffusion"], uxx)), react), src)
-    if kind == "diffrec_coeff":
-        u, _, uxx = pred.jet(points, 0, 2)
-        _, ut, _ = pred.jet(points, 1, 1)
-        kprof = ad.matmul(f_rows, _source_matrix(problem, points).T)
-        react = ad.mul(kprof, ad.square(u))
-        fixed_src = np.sin(np.pi * points[:, 0])
-        return ad.sub(ad.add(ad.sub(ut, ad.mul(const["diffusion"], uxx)), react),
-                      fixed_src)
-    raise ProblemError(f"unknown problem kind {kind!r}")
+# --------------------------------------------------------------------------
+# residual operators, boundary/initial rules and reference oracles
+# --------------------------------------------------------------------------
+# Each residual records its tape nodes in a fixed order (the jets, then
+# the source where it stands); keep it, because the reverse sweep adds a
+# node's gradient contributions in tape order.
+
+def _antiderivative_residual(pred, source, c, points):
+    _, du, _ = pred.jet(points, 0, 1)
+    return ad.sub(du, source(points))
+
+
+def _poisson1d_residual(pred, source, c, points):
+    _, _, d2u = pred.jet(points, 0, 2)
+    src = source(points)
+    return ad.sub(ad.neg(d2u), src)
+
+
+def _poisson2d_residual(pred, source, c, points):
+    _, _, uxx = pred.jet(points, 0, 2)
+    _, _, uyy = pred.jet(points, 1, 2)
+    src = source(points)
+    return ad.sub(ad.neg(ad.add(uxx, uyy)), src)
+
+
+def _helmholtz_residual(pred, source, c, points):
+    u, _, d2u = pred.jet(points, 0, 2)
+    src = source(points)
+    return ad.sub(ad.add(ad.neg(d2u), ad.mul(c["shift"], u)), src)
+
+
+def _heat_ic_residual(pred, source, c, points):
+    _, _, uxx = pred.jet(points, 0, 2)
+    _, ut, _ = pred.jet(points, 1, 1)
+    return ad.sub(ut, ad.mul(c["alpha"], uxx))
+
+
+def _heat_source_residual(pred, source, c, points):
+    return ad.sub(_heat_ic_residual(pred, source, c, points), source(points))
+
+
+def _diffrec_source_residual(pred, source, c, points):
+    u, _, uxx = pred.jet(points, 0, 2)
+    _, ut, _ = pred.jet(points, 1, 1)
+    src = source(points)
+    react = ad.mul(c["reaction"], ad.square(u))
+    return ad.sub(ad.sub(ad.sub(ut, ad.mul(c["diffusion"], uxx)), react), src)
+
+
+def _diffrec_coeff_residual(pred, source, c, points):
+    u, _, uxx = pred.jet(points, 0, 2)
+    _, ut, _ = pred.jet(points, 1, 1)
+    react = ad.mul(source(points), ad.square(u))
+    fixed_src = np.sin(np.pi * points[:, 0])
+    return ad.sub(ad.add(ad.sub(ut, ad.mul(c["diffusion"], uxx)), react),
+                  fixed_src)
+
+
+def _value(pred, source, points):
+    """u = 0 there."""
+    return pred.plain(points)
+
+
+def _neumann(pred, source, points):
+    """u_x = 0 there."""
+    _, du, _ = pred.jet(points, 0, 1)
+    return du
+
+
+def _equals_input(pred, source, points):
+    """u = f there."""
+    u = pred.plain(points)
+    return ad.sub(u, source(points))
+
+
+def _bitrig_coeffs_from_sensors(problem: ProblemSpec,
+                                values: np.ndarray) -> np.ndarray:
+    """Invert the sine basis on the interior sensor grid."""
+    modes = problem.sampler.modes
+    sensors = sensor_grid(problem)
+    basis = np.column_stack([
+        (np.sin((r + 1) * np.pi * sensors[:, 0])
+         * np.sin((s + 1) * np.pi * sensors[:, 1]))
+        for r in range(modes) for s in range(modes)
+    ])
+    coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
+    return coeffs.reshape(modes, modes)
+
+
+def _poisson2d_reference(problem, sample, points, n):
+    coeffs = sample.meta.get("coeffs")
+    if coeffs is None:
+        coeffs = _bitrig_coeffs_from_sensors(problem, sample.values)
+    return sv.solve_poisson_2d_analytic(coeffs, points).values
+
+
+def _heat_reference(problem, sample, points, n):
+    return sv.solve_heat_fd(problem.kind, sample, problem.constants["alpha"],
+                            n, n).eval_at(points)
+
+
+# --------------------------------------------------------------------------
+# the registry: one entry per problem kind
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything opstab knows about one problem kind.
+
+    residual(pred, source, constants, points) is the interior residual
+    block; boundary(pred, source, points) and initial(pred, source,
+    points) are the boundary and initial-condition mismatches, where
+    source(points) is the input function interpolated onto points.
+    reference(problem, sample, points, n) is the classical oracle at
+    resolution n. sensors(sensor_count) lays out the sensors.
+    """
+
+    name: str
+    sensor_count: int
+    collocation_counts: tuple  # (interior, boundary, initial)
+    sampler: SamplerSpec
+    constants: dict  # name -> default; exactly the constants the kind takes
+    transforms: tuple  # valid hard-constraint transforms, default first
+    coord_dim: int
+    eval_n: int  # default evaluation-grid points per axis
+    residual: Callable
+    reference: Callable
+    boundary: Callable = _value
+    initial: Callable = _value
+    sensors: Callable = _uniform_sensors
+
+
+_SPACE_TIME = dict(sensor_count=100, collocation_counts=(200, 40, 20),
+                   coord_dim=2, eval_n=100)
+
+REGISTRY = {entry.name: entry for entry in (
+    Kind("antiderivative", sensor_count=50, collocation_counts=(20, 0, 1),
+         sampler=SamplerSpec("grf", length_scale=0.2), constants={},
+         transforms=("none",), coord_dim=1, eval_n=50,
+         residual=_antiderivative_residual,
+         reference=lambda problem, sample, points, n:
+             sv.solve_ode_rk45(sample, points).values),
+    Kind("poisson1d", sensor_count=100, collocation_counts=(100, 2, 0),
+         sampler=SamplerSpec("poly3"), constants={},
+         transforms=("none", "dirichlet_1d"), coord_dim=1, eval_n=100,
+         residual=_poisson1d_residual,
+         reference=lambda problem, sample, points, n:
+             sv.solve_poisson_1d_fd(sample, n).eval_at(points)),
+    Kind("poisson2d", sensor_count=100, collocation_counts=(10000, 0, 0),
+         sampler=SamplerSpec("bitrig", modes=10), constants={},
+         transforms=("dirichlet_2d_space", "none"), coord_dim=2, eval_n=100,
+         residual=_poisson2d_residual, reference=_poisson2d_reference,
+         sensors=_interior_tensor_sensors),
+    Kind("helmholtz_neumann", sensor_count=100, collocation_counts=(100, 2, 0),
+         sampler=SamplerSpec("grf", length_scale=0.2),
+         constants={"shift": 2.0}, transforms=("none",), coord_dim=1,
+         eval_n=100, residual=_helmholtz_residual, boundary=_neumann,
+         reference=lambda problem, sample, points, n:
+             sv.solve_helmholtz_neumann_fd(
+                 sample, n, shift=problem.constants["shift"]).eval_at(points)),
+    Kind("heat_ic", **_SPACE_TIME,
+         sampler=SamplerSpec("grf", length_scale=1.0),
+         constants={"alpha": 0.01}, transforms=("none",),
+         residual=_heat_ic_residual, initial=_equals_input,
+         reference=_heat_reference),
+    Kind("heat_source", **_SPACE_TIME,
+         sampler=SamplerSpec("grf", length_scale=0.2),
+         constants={"alpha": 0.01},
+         transforms=("none", "zero_ic_dirichlet_bc"),
+         residual=_heat_source_residual, reference=_heat_reference),
+    Kind("diffrec_source", **_SPACE_TIME,
+         sampler=SamplerSpec("grf", length_scale=0.2),
+         constants={"diffusion": 0.01, "reaction": 0.01},
+         transforms=("none", "zero_ic_dirichlet_bc"),
+         residual=_diffrec_source_residual,
+         reference=lambda problem, sample, points, n:
+             sv.solve_diffusion_reaction(
+                 sample, "source", problem.constants["diffusion"],
+                 problem.constants["reaction"], n, n).eval_at(points)),
+    Kind("diffrec_coeff", **_SPACE_TIME,
+         sampler=SamplerSpec("grf", length_scale=1.4, rescale=(1.0, 5.0)),
+         constants={"diffusion": 0.01},
+         transforms=("none", "zero_ic_dirichlet_bc"),
+         residual=_diffrec_coeff_residual,
+         reference=lambda problem, sample, points, n:
+             sv.solve_diffusion_reaction(
+                 sample, "coefficient", problem.constants["diffusion"], 0.0,
+                 n, n).eval_at(points)),
+)}
+
+KINDS = tuple(REGISTRY)
+
+
+# --------------------------------------------------------------------------
+# loss assembly
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    physics: float
+    bc: float
+    ic: float
+    total: float
+
+    @classmethod
+    def from_terms(cls, physics, bc, ic):
+        physics, bc, ic = float(physics), float(bc), float(ic)
+        return cls(physics, bc, ic, physics + bc + ic)
+
+
+def _source(problem: ProblemSpec, f_rows):
+    """points -> the input rows interpolated onto points, (batch, n)."""
+    return lambda points: ad.matmul(f_rows, _source_matrix(problem, points).T)
 
 
 def _transform_enforces(transform: str):
@@ -481,21 +596,13 @@ def loss_blocks(problem: ProblemSpec, params, f_rows, colloc: CollocationSet,
     """
     enforced = _transform_enforces(params.arch.transform)
     pred = _NetPredictor(params, f_rows, trunk_cache=trunk_cache)
-    blocks = {"physics": _interior_residual(problem, pred, f_rows,
-                                            colloc.interior)}
+    entry, source = problem.entry, _source(problem, f_rows)
+    blocks = {"physics": entry.residual(pred, source, problem.constants,
+                                        colloc.interior)}
     if len(colloc.boundary) and "bc" not in enforced:
-        if problem.kind == "helmholtz_neumann":
-            _, du, _ = pred.jet(colloc.boundary, 0, 1)
-            blocks["bc"] = du
-        else:
-            blocks["bc"] = pred.plain(colloc.boundary)
+        blocks["bc"] = entry.boundary(pred, source, colloc.boundary)
     if len(colloc.initial) and "ic" not in enforced:
-        u_ic = pred.plain(colloc.initial)
-        if problem.kind == "heat_ic":
-            target = ad.matmul(f_rows, _source_matrix(problem, colloc.initial).T)
-            blocks["ic"] = ad.sub(u_ic, target)
-        else:
-            blocks["ic"] = u_ic
+        blocks["ic"] = entry.initial(pred, source, colloc.initial)
     return blocks
 
 
@@ -567,5 +674,6 @@ def physics_residual(problem: ProblemSpec, network, f_sample, points) -> np.ndar
         pred = _NetPredictor(network, rows)
     else:
         pred = _GraphPredictor(network)
-    res = _interior_residual(problem, pred, rows, pts)
+    res = problem.entry.residual(pred, _source(problem, rows),
+                                 problem.constants, pts)
     return np.asarray(res).reshape(-1) if np.ndim(res) <= 1 else np.asarray(res)[0]

@@ -12,8 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import van_der_corput_base2
-
 
 class SamplingError(RuntimeError):
     """Sampler could not produce a valid draw."""
@@ -154,6 +152,20 @@ def rescale_to_range(sample: FunctionSample, lo: float, hi: float) -> FunctionSa
     return FunctionSample(sample.sensor_xs, values, meta)
 
 
+def van_der_corput_base2(n: int) -> np.ndarray:
+    """Base-2 radical inverse of indices 0..n-1 (mirror the bits about
+    the binary point). Every partial sum is a dyadic rational with at most
+    53 significant bits, so the result is exact."""
+    k = np.arange(n, dtype=np.int64)
+    out = np.zeros(n)
+    weight = 0.5
+    while k.any():
+        out += (k & 1) * weight
+        k >>= 1
+        weight *= 0.5
+    return out
+
+
 def hammersley(n: int, dim: int) -> np.ndarray:
     """Canonical Hammersley set in [0, 1)^dim.
 
@@ -184,14 +196,6 @@ def hammersley_interior(n: int, dim: int) -> np.ndarray:
     if dim == 2:
         return np.column_stack([first, van_der_corput_base2(n + 1)[1:]])
     raise ValueError(f"unsupported dimension {dim}")
-
-
-def boundary_mask_profile(sample: FunctionSample) -> FunctionSample:
-    """Multiply values by x (1 - x) so the profile vanishes at 0 and 1."""
-    xs = sample.sensor_xs
-    meta = dict(sample.meta)
-    meta["masked"] = "x(1-x)"
-    return FunctionSample(xs, sample.values * xs * (1.0 - xs), meta)
 
 
 def star_discrepancy_2d(points: np.ndarray) -> float:

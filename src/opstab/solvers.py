@@ -14,7 +14,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .kernels import thomas_solve
 from .sampling import FunctionSample, bitrig_values
 
 
@@ -81,19 +80,6 @@ def _as_callable(f) -> Callable:
     raise TypeError("expected FunctionSample or callable forcing")
 
 
-def export_csv(solution: GridSolution, path) -> None:
-    """Grid columns then the value column."""
-    if isinstance(solution.grid, tuple):
-        x_axis, t_axis = solution.grid
-        xg, tg = np.meshgrid(x_axis, t_axis)
-        table = np.column_stack([xg.ravel(), tg.ravel(), solution.values.ravel()])
-        header = "x,t,value"
-    else:
-        table = np.column_stack([np.asarray(solution.grid), solution.values])
-        header = "x,value"
-    np.savetxt(path, table, delimiter=",", header=header, comments="")
-
-
 # --------------------------------------------------------------------------
 # individual solvers
 # --------------------------------------------------------------------------
@@ -122,17 +108,17 @@ def _sample_on_grid(f, grid):
     return _as_callable(f)(grid)
 
 
-def _tridiagonal_solver(off: float, diag: float, n: int) -> Callable:
-    """LU-factor the constant tridiagonal matrix with `diag` on the main
-    diagonal and `off` on both neighbours (order n) once; the returned
-    function solves it for one right-hand side with LAPACK (gttrs)."""
+def _tridiagonal_solver(lower, diag, upper) -> Callable:
+    """LU-factor the tridiagonal matrix with sub-diagonal `lower` (n-1,),
+    main diagonal `diag` (n,) and super-diagonal `upper` (n-1,) once; the
+    returned function solves it for one right-hand side with LAPACK
+    (gttrf/gttrs, partial pivoting)."""
     # imported here so that importing opstab does not load scipy
     from scipy.linalg.lapack import dgttrf, dgttrs
 
-    dl, d, du, du2, ipiv, info = dgttrf(np.full(n - 1, off), np.full(n, diag),
-                                        np.full(n - 1, off))
+    dl, d, du, du2, ipiv, info = dgttrf(lower, diag, upper)
     if info != 0:
-        raise SolverError(f"singular time-step matrix (LAPACK info {info})")
+        raise SolverError(f"singular tridiagonal matrix (LAPACK info {info})")
 
     def solve(rhs):
         return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
@@ -152,7 +138,7 @@ def solve_poisson_1d_fd(f, n_grid: int) -> GridSolution:
     upper = np.full(ni - 1, -1.0)
     diag = np.full(ni, 2.0)
     u = np.zeros(n_grid)
-    u[1:-1] = thomas_solve(lower, diag, upper, rhs)
+    u[1:-1] = _tridiagonal_solver(lower, diag, upper)(rhs)
     return GridSolution(x, u, {"method": "fd2", "n": n_grid, "order": 2})
 
 
@@ -173,7 +159,7 @@ def solve_helmholtz_neumann_fd(f, n_grid: int, shift: float = 2.0) -> GridSoluti
     upper[0] = -2.0 * inv_h2
     lower[-1] = -2.0 * inv_h2
     rhs = _sample_on_grid(f, x)
-    u = thomas_solve(lower, diag, upper, rhs)
+    u = _tridiagonal_solver(lower, diag, upper)(rhs)
     return GridSolution(x, u, {"method": "fd2-ghost", "n": n_grid, "order": 2,
                                "shift": shift})
 
@@ -217,7 +203,8 @@ def solve_heat_fd(problem_kind: str, f, alpha: float, nx: int, nt: int,
     else:
         u0, src = np.zeros(nx), profile
     r = alpha * dt / (h * h)
-    solve = _tridiagonal_solver(-0.5 * r, 1.0 + r, nx - 2)
+    off = np.full(nx - 3, -0.5 * r)
+    solve = _tridiagonal_solver(off, np.full(nx - 2, 1.0 + r), off)
     values = np.zeros((nt, nx))
     values[0, 1:-1] = u0[1:-1]
     for n in range(1, nt):
@@ -255,7 +242,8 @@ def solve_diffusion_reaction(f_or_k, mode: str, diffusion: float,
     else:
         raise ValueError(f"unknown diffusion-reaction mode {mode!r}")
     s = diffusion * dt / (h * h)
-    solve = _tridiagonal_solver(-s, 1.0 + 2.0 * s, nx - 2)
+    off = np.full(nx - 3, -s)
+    solve = _tridiagonal_solver(off, np.full(nx - 2, 1.0 + 2.0 * s), off)
     react = ksign * kprofile[1:-1]
     forcing = forcing[1:-1]
     values = np.zeros((nt, nx))

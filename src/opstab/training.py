@@ -21,7 +21,6 @@ from . import autodiff as ad
 from . import deeponet as dn
 from . import problems as pb
 from .attacks import AttackConfig, attack_physics_loss_batch
-from .kernels import adam_update
 
 logger = logging.getLogger(__name__)
 
@@ -100,9 +99,12 @@ def adam_step(params_list, grads_list, state: AdamState, learning_rate,
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params_list, grads_list, state.first_moment,
                           state.second_moment):
-        p2, m2, v2 = adam_update(np.asarray(p, dtype=np.float64), g, m, v,
-                                 t, learning_rate, beta1, beta2, eps)
-        new_params.append(p2)
+        m2 = beta1 * m + (1.0 - beta1) * g
+        v2 = beta2 * v + (1.0 - beta2) * g * g
+        mhat = m2 / (1.0 - beta1 ** t)
+        vhat = v2 / (1.0 - beta2 ** t)
+        new_params.append(np.asarray(p, dtype=np.float64)
+                          - learning_rate * mhat / (np.sqrt(vhat) + eps))
         new_m.append(m2)
         new_v.append(v2)
     return new_params, AdamState(new_m, new_v, t)

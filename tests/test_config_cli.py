@@ -51,6 +51,23 @@ plot_samples = 1
 """
 
 
+# the physical constants each kind takes, and no other kind
+KIND_CONSTANTS = {
+    "antiderivative": (),
+    "poisson1d": (),
+    "poisson2d": (),
+    "helmholtz_neumann": ("shift",),
+    "heat_ic": ("alpha",),
+    "heat_source": ("alpha",),
+    "diffrec_source": ("diffusion", "reaction"),
+    "diffrec_coeff": ("diffusion",),
+}
+
+
+def test_constant_table_covers_every_kind():
+    assert set(KIND_CONSTANTS) == set(pb.KINDS)
+
+
 class TestConfigParsing:
     def test_minimal_config_materializes_defaults(self):
         rc = parse_config_string(MINIMAL)
@@ -85,6 +102,11 @@ class TestConfigParsing:
             parse_config_string("[problem]\nkind = poisson1d\nalpha = 0.5\n")
         assert "alpha" in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["poisson1d", "poisson2d"])
+    def test_nonpositive_sensor_count_rejected(self, kind):
+        with pytest.raises(ValidationError, match="sensor_count"):
+            parse_config_string(f"[problem]\nkind = {kind}\nsensor_count = -4\n")
+
     def test_invalid_transform_combination_rejected(self):
         text = "[problem]\nkind = helmholtz_neumann\n[arch]\ntransform = dirichlet_1d\n"
         with pytest.raises(ValidationError):
@@ -108,6 +130,25 @@ class TestConfigParsing:
         path = tmp_path / "echo.ini"
         write_config(path, rc)
         assert parse_config(path) == rc
+
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_round_trip_identity_every_kind(self, kind, tmp_path):
+        rc = parse_config_string(f"[problem]\nkind = {kind}\n")
+        path = tmp_path / "echo.ini"
+        write_config(path, rc)
+        assert parse_config(path) == rc
+
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_constants_accepted_only_by_their_kind(self, kind):
+        own = KIND_CONSTANTS[kind]
+        rc = parse_config_string(f"[problem]\nkind = {kind}\n"
+                                 + "".join(f"{c} = 0.5\n" for c in own))
+        assert rc.problem.constants == {c: 0.5 for c in own}
+        others = {c for cs in KIND_CONSTANTS.values() for c in cs} - set(own)
+        for name in sorted(others):
+            with pytest.raises(ValidationError, match=name):
+                parse_config_string(
+                    f"[problem]\nkind = {kind}\n{name} = 0.5\n")
 
     def test_round_trip_identity_diffrec(self, tmp_path):
         rc = parse_config_string("[problem]\nkind = diffrec_coeff\n")
@@ -241,12 +282,12 @@ class TestCliOther:
 
     def test_import_loads_no_scipy(self):
         # scipy.integrate alone takes ~0.4 s to import; only the oracles
-        # that need scipy import it, when they run
+        # that need scipy import it, when they run. numba is not used.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import sys, opstab.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
+                "if m.split('.')[0] in ('scipy', 'numba')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"

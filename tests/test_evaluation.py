@@ -240,7 +240,39 @@ class TestStabilityReport:
         assert len(rows) == 1 + len(ds.y_grid)
 
 
+# each kind's oracle called directly, with its constants
+ORACLES = {
+    "antiderivative": lambda c, s, grid, n: sv.solve_ode_rk45(s, grid).values,
+    "poisson1d": lambda c, s, grid, n:
+        sv.solve_poisson_1d_fd(s, n).eval_at(grid),
+    "poisson2d": lambda c, s, grid, n:
+        sv.solve_poisson_2d_analytic(s.meta["coeffs"], grid).values,
+    "helmholtz_neumann": lambda c, s, grid, n:
+        sv.solve_helmholtz_neumann_fd(s, n, shift=c["shift"]).eval_at(grid),
+    "heat_ic": lambda c, s, grid, n:
+        sv.solve_heat_fd("heat_ic", s, c["alpha"], n, n).eval_at(grid),
+    "heat_source": lambda c, s, grid, n:
+        sv.solve_heat_fd("heat_source", s, c["alpha"], n, n).eval_at(grid),
+    "diffrec_source": lambda c, s, grid, n: sv.solve_diffusion_reaction(
+        s, "source", c["diffusion"], c["reaction"], n, n).eval_at(grid),
+    "diffrec_coeff": lambda c, s, grid, n: sv.solve_diffusion_reaction(
+        s, "coefficient", c["diffusion"], 0.0, n, n).eval_at(grid),
+}
+
+
 class TestReferenceSolutions:
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_each_kind_calls_its_oracle(self, kind):
+        # non-default constants, so a default wired in place of the
+        # problem's own value shows
+        defaults = pb.default_problem(kind).constants
+        constants = {name: 1.5 * value for name, value in defaults.items()}
+        prob = pb.default_problem(kind, constants=constants)
+        sample = pb.sample_input(prob, 4)
+        grid = pb.eval_grid(prob, 7)
+        got = ev.reference_solution(prob, sample, grid, resolution=21)
+        assert np.array_equal(got, ORACLES[kind](constants, sample, grid, 21))
+
     def test_poisson2d_recovers_coefficients_from_sensors(self):
         prob = pb.default_problem("poisson2d")
         sample = pb.sample_input(prob, 5)

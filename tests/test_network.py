@@ -96,8 +96,8 @@ class TestForward:
         branch = dn.branch_apply(params, np.random.default_rng(1)
                                  .standard_normal((1, 12)))
         trunk = dn.trunk_apply(params, cols)
-        u1 = dn.merge(params, branch, trunk, cols, raw=True)
-        u2 = dn.merge(params, 2.0 * branch, trunk, cols, raw=True)
+        u1 = dn.merge(params, branch, trunk, cols)
+        u2 = dn.merge(params, 2.0 * branch, trunk, cols)
         bias = float(params.output_bias)
         assert np.allclose(u2 - bias, 2.0 * (u1 - bias), rtol=0, atol=1e-15)
 

@@ -266,8 +266,8 @@ class TestCollocation:
 
     def test_deterministic(self):
         prob = pb.default_problem("heat_ic")
-        a = pb.make_collocation(prob, seed=0)
-        b = pb.make_collocation(prob, seed=1)
+        a = pb.make_collocation(prob)
+        b = pb.make_collocation(prob)
         assert np.array_equal(a.interior, b.interior)
         assert np.array_equal(a.boundary, b.boundary)
         assert np.array_equal(a.initial, b.initial)

@@ -147,30 +147,23 @@ class TestHammersley:
         d256 = sp.star_discrepancy_2d(sp.hammersley(256, 2))
         assert d256 < d64
 
+    @pytest.mark.parametrize("n", [1, 2, 201, 4097])
+    def test_radical_inverse_matches_digit_loop(self, n):
+        want = np.empty(n)
+        for i in range(n):
+            q, weight, k = 0.0, 0.5, i
+            while k > 0:
+                q += (k % 2) * weight
+                k //= 2
+                weight *= 0.5
+            want[i] = q
+        assert np.array_equal(sp.van_der_corput_base2(n), want)
+
     def test_interior_variant_strictly_inside(self):
         for dim in (1, 2):
             pts = sp.hammersley_interior(150, dim)
             assert pts.shape == (150, dim)
             assert pts.min() > 0.0 and pts.max() < 1.0
-
-
-class TestBoundaryMask:
-    def test_endpoints_vanish(self):
-        xs = np.linspace(0, 1, 11)
-        masked = sp.boundary_mask_profile(sp.FunctionSample(xs, np.ones(11)))
-        assert masked.values[0] == 0.0 and masked.values[-1] == 0.0
-
-    def test_midpoint_scale(self):
-        xs = np.array([0.0, 0.5, 1.0])
-        masked = sp.boundary_mask_profile(sp.FunctionSample(xs, np.ones(3)))
-        assert masked.values[1] == 0.25
-
-    def test_linear_in_values(self):
-        xs = np.linspace(0, 1, 9)
-        v = np.random.default_rng(0).standard_normal(9)
-        a = sp.boundary_mask_profile(sp.FunctionSample(xs, v)).values
-        b = sp.boundary_mask_profile(sp.FunctionSample(xs, 2 * v)).values
-        assert np.allclose(b, 2 * a, rtol=0, atol=0)
 
 
 class TestFunctionSample:

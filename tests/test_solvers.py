@@ -251,6 +251,22 @@ class TestBandedMarches:
                             1.0 / (self.nx - 1))
         assert np.abs(sol.values - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("kind", ["poisson1d", "helmholtz_neumann"])
+    def test_elliptic(self, kind):
+        f = lambda x: np.cos(3.0 * x) + x
+        inv_h2 = (self.nx - 1) ** 2
+        lap = (np.diag(np.full(self.nx, 2.0 * inv_h2))
+               - np.diag(np.full(self.nx - 1, inv_h2), 1)
+               - np.diag(np.full(self.nx - 1, inv_h2), -1))
+        if kind == "poisson1d":
+            got = sv.solve_poisson_1d_fd(f, self.nx).values[1:-1]
+            want = np.linalg.solve(lap[1:-1, 1:-1], f(self.x[1:-1]))
+        else:
+            got = sv.solve_helmholtz_neumann_fd(f, self.nx, shift=2.0).values
+            lap[0, 1] = lap[-1, -2] = -2.0 * inv_h2  # ghost-point closure
+            want = np.linalg.solve(lap + 2.0 * np.eye(self.nx), f(self.x))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_picard_error_names_the_failed_step(self):
         with pytest.raises(sv.PicardError, match="time step 1$") as err:
             sv.solve_diffusion_reaction(lambda x: np.sin(np.pi * x), "source",
@@ -314,12 +330,3 @@ class TestGridSolution:
         pts = np.array([[0.3, 0.4], [0.9, 0.1]])
         assert np.allclose(sol.eval_at(pts), 2 * pts[:, 0] + 3 * pts[:, 1],
                            rtol=0, atol=1e-14)
-
-    def test_csv_export_1d(self, tmp_path):
-        sol = sv.GridSolution(np.linspace(0, 1, 3), np.array([0.0, 1.0, 4.0]),
-                              {})
-        path = tmp_path / "sol.csv"
-        sv.export_csv(sol, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,value"
-        assert len(lines) == 4
