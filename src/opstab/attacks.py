@@ -150,14 +150,15 @@ def _batch_loss_and_grad(problem, params, colloc):
     term, so the batched gradient rows equal the per-sample gradients up
     to the 1/batch factor, which the dual-norm ascent directions ignore.
     Per-sample totals come from row means of the recorded block values.
+    The weights are fixed, so the blocks' trunk jets are computed once,
+    as plain arrays, and every iterate runs only the branch.
     """
-    trunk_cache = {}
+    loss_blocks = pb.LossBlocks(problem, params, colloc)
 
     def fn(rows):
         tape = ad.Tape()
         f_var = tape.leaf(rows)
-        blocks = pb.loss_blocks(problem, params, f_var, colloc,
-                                trunk_cache=trunk_cache)
+        blocks = loss_blocks(f_var)
         terms = [ad.mean(ad.square(b)) for b in blocks.values()]
         total = terms[0]
         for term in terms[1:]:

@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 
-from . import autodiff as ad
 from . import deeponet as dn
 from . import evaluation as ev
 from . import problems as pb
@@ -226,10 +225,20 @@ def _selftest_checks():
             worst = max(worst, abs(fd - g[j]) / max(abs(fd), 1e-12))
         return worst < 1e-5
 
-    def second_derivative_check():
-        net = lambda p, f, y: ad.mul(ad.mul(y, y), y)
-        return abs(ad.second_coordinate_derivative(net, None, None, [2.0], 0)
-                   - 12.0) < 1e-12
+    def trunk_jet_check():
+        arch = dn.ArchSpec((6, 10, 10), (2, 10, 10),
+                           transform="zero_ic_dirichlet_bc")
+        params = dn.glorot_init(arch, 3)
+        f = rng.standard_normal(6)
+        point = np.array([[0.3, 0.6]])
+        jet = dn.GridModel(params, point, first=(1,), second=(0,)).jet(
+            dn.branch_apply(params, f[None]))
+        h = 1e-4
+        u = lambda dx, dt: dn.forward(params, f, point + [[dx, dt]])[0]
+        ut = (u(0, h) - u(0, -h)) / (2 * h)
+        uxx = (u(h, 0) - 2 * u(0, 0) + u(-h, 0)) / h ** 2
+        return (abs(jet.first[1][0, 0] - ut) < 1e-6 * max(abs(ut), 1.0)
+                and abs(jet.second[0][0, 0] - uxx) < 1e-5 * max(abs(uxx), 1.0))
 
     def poisson_solver_check():
         sol = sv.solve_poisson_1d_fd(lambda x: np.pi ** 2 * np.sin(np.pi * x),
@@ -295,7 +304,7 @@ def _selftest_checks():
 
     return [
         ("gradient_vs_finite_difference", gradient_check),
-        ("second_coordinate_derivative", second_derivative_check),
+        ("trunk_jet_vs_finite_difference", trunk_jet_check),
         ("poisson1d_solver_vs_analytic", poisson_solver_check),
         ("helmholtz_solver_vs_analytic", helmholtz_solver_check),
         ("heat_solver_vs_analytic", heat_solver_check),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,33 +108,16 @@ def glorot_init(arch: ArchSpec, seed: int) -> DeepONetParams:
 
 
 # --------------------------------------------------------------------------
-# evaluation (works on numpy arrays, tape Vars, and duals alike)
+# evaluation (works on numpy arrays and tape Vars alike)
 # --------------------------------------------------------------------------
 
-def _coord_row(coords, k):
-    """Row k of a (dim, npts) coordinate block that may carry duals."""
-    if isinstance(coords, ad.Dual):
-        return ad.Dual(_coord_row(coords.primal, k),
-                       None if coords.tangent is None else _coord_row(coords.tangent, k))
-    return np.asarray(coords, dtype=np.float64)[k]
+class Jet(NamedTuple):
+    """A value with its exact derivatives along coordinate axes:
+    first[a] = d/dy_a and second[a] = d^2/dy_a^2."""
 
-
-def transform_mask(transform: str, coords):
-    """Smooth mask enforcing the transform's constraint set exactly."""
-    if transform == "none":
-        return None
-    if transform == "dirichlet_1d":
-        y = _coord_row(coords, 0)
-        return ad.mul(y, ad.sub(1.0, y))
-    if transform == "dirichlet_2d_space":
-        x = _coord_row(coords, 0)
-        y = _coord_row(coords, 1)
-        return ad.mul(ad.mul(x, ad.sub(1.0, x)), ad.mul(y, ad.sub(1.0, y)))
-    if transform == "zero_ic_dirichlet_bc":
-        x = _coord_row(coords, 0)
-        t = _coord_row(coords, 1)
-        return ad.mul(t, ad.mul(x, ad.sub(1.0, x)))
-    raise ArchError(f"unsupported transform {transform!r}")
+    u: object
+    first: dict
+    second: dict
 
 
 def branch_apply(params: DeepONetParams, f_rows):
@@ -148,24 +131,96 @@ def branch_apply(params: DeepONetParams, f_rows):
     return h
 
 
-def trunk_apply(params: DeepONetParams, coords_cols):
-    """Trunk net on (dim, npts) columns -> (p, npts) features."""
-    h = coords_cols
-    last = len(params.trunk_layers) - 1
-    for i, (w, b) in enumerate(params.trunk_layers):
+def trunk_jet(layers, coords_cols, first=(), second=()) -> Jet:
+    """Trunk features on (dim, npts) columns, with their first derivatives
+    along every axis in first or second and their second derivatives
+    along the axes in second, all in one pass.
+
+    Closed-form Taylor rules: the first layer has z_a = W e_a and no
+    second-order term; a tanh layer maps h = tanh z, s = 1 - h^2,
+    h_a = z_a s and h_aa = (z_aa - 2 h z_a^2) s; a later linear layer
+    maps z_a = W h_a and z_aa = W h_aa. Written with ad primitives, so it
+    records on the tape when the weights are Vars.
+    """
+    dim = coords_cols.shape[0]
+    axes = sorted(set(first) | set(second))
+    if any(not 0 <= a < dim for a in axes):
+        raise ArchError(f"derivative axes {axes} out of range for {dim} "
+                        "coordinates")
+    h, d1, d2 = coords_cols, {}, {}
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        if i == 0:
+            d1 = {a: ad.matmul(w, np.eye(dim)[:, a:a + 1]) for a in axes}
+        else:
+            d1 = {a: ad.matmul(w, t) for a, t in d1.items()}
+            d2 = {a: ad.matmul(w, t) for a, t in d2.items()}
         h = ad.add(ad.matmul(w, h), b)
         if i < last:
             h = ad.tanh(h)
-    return h
+            if not axes:
+                continue
+            s = ad.sub(1.0, ad.square(h))
+            if second:
+                minus_2h = ad.mul(-2.0, h)
+            for a in second:
+                curv = ad.mul(minus_2h, ad.square(d1[a]))
+                d2[a] = ad.mul(ad.add(d2[a], curv) if a in d2 else curv, s)
+            d1 = {a: ad.mul(t, s) for a, t in d1.items()}
+    # a single linear layer has no curvature
+    zero = np.zeros((layers[-1][0].shape[0], 1))
+    return Jet(h, d1, {a: d2.get(a, zero) for a in second})
+
+
+def trunk_apply(params: DeepONetParams, coords_cols):
+    """Trunk net on (dim, npts) columns -> (p, npts) features."""
+    return trunk_jet(params.trunk_layers, coords_cols).u
+
+
+# Each mask is a product of one polynomial factor per constrained axis:
+# "q" is y (1 - y), zero at both ends, and "t" is y, zero at y = 0.
+_MASK_FACTORS = {
+    "none": {},
+    "dirichlet_1d": {0: "q"},
+    "dirichlet_2d_space": {0: "q", 1: "q"},
+    "zero_ic_dirichlet_bc": {0: "q", 1: "t"},
+}
+
+
+def _mask_factor(kind, y, order):
+    """The factor's value, first or second derivative at y."""
+    if kind == "q":
+        return (y * (1.0 - y), 1.0 - 2.0 * y, np.full_like(y, -2.0))[order]
+    return (y, np.ones_like(y), np.zeros_like(y))[order]
+
+
+def mask_jet(transform: str, coords_cols, first=(), second=()):
+    """The transform's smooth mask on (dim, npts) columns with its
+    closed-form derivatives along the given axes (a Jet of arrays), or
+    None when the transform constrains nothing."""
+    factors = _MASK_FACTORS[transform]
+    if not factors:
+        return None
+
+    def derivative(axis=None, order=0):
+        if axis is not None and axis not in factors:
+            return np.zeros(coords_cols.shape[1])
+        out = None
+        for k, kind in factors.items():
+            f = _mask_factor(kind, coords_cols[k], order if k == axis else 0)
+            out = f if out is None else out * f
+        return out
+
+    axes = sorted(set(first) | set(second))
+    return Jet(derivative(), {a: derivative(a, 1) for a in axes},
+               {a: derivative(a, 2) for a in second})
 
 
 def merge(params: DeepONetParams, branch_out, trunk_out, coords_cols):
     """Inner-product merge plus bias, then the configured transform."""
     u = ad.add(ad.matmul(branch_out, trunk_out), params.output_bias)
-    mask = transform_mask(params.arch.transform, coords_cols)
-    if mask is not None:
-        u = ad.mul(u, mask)
-    return u
+    mask = mask_jet(params.arch.transform, coords_cols)
+    return u if mask is None else ad.mul(u, mask.u)
 
 
 def apply_net(params: DeepONetParams, f_rows, coords_cols):
@@ -186,12 +241,13 @@ class GridModel:
 
     The trunk features and the transform mask depend only on the weights
     and the coordinates, never on the input function, so they are
-    computed once here and shared by every evaluation on the grid.
-    Calling the object on (batch, m) rows (numpy, tape Vars or duals)
+    computed once here, together with their derivatives along the axes
+    given in first and second, and shared by every evaluation on the
+    grid. Calling the object on (batch, m) rows (numpy or tape Vars)
     gives exactly what apply_net gives on the same coordinates.
     """
 
-    def __init__(self, params: DeepONetParams, coords):
+    def __init__(self, params: DeepONetParams, coords, first=(), second=()):
         cols = _as_coord_cols(coords)
         if cols.shape[0] != params.arch.coord_dim:
             raise ArchError(
@@ -199,13 +255,45 @@ class GridModel:
                 f"got {cols.shape[0]}")
         self.params = params
         self.cols = cols
-        self.trunk = trunk_apply(params, cols)
-        self.mask = transform_mask(params.arch.transform, cols)
+        self.first = tuple(first)
+        self.trunk = trunk_jet(params.trunk_layers, cols, first, second)
+        self.mask = mask_jet(params.arch.transform, cols, first, second)
 
     def __call__(self, f_rows):
-        u = ad.add(ad.matmul(branch_apply(self.params, f_rows), self.trunk),
-                   self.params.output_bias)
-        return u if self.mask is None else ad.mul(u, self.mask)
+        return self.jet(branch_apply(self.params, f_rows)).u
+
+    def jet(self, b) -> Jet:
+        """u on the grid and its derivatives along the grid's axes, from
+        the (batch, p) branch features b of the input rows, by the
+        product rule with the mask. first holds every axis that is asked
+        for or that the product rule needs."""
+        trunk, mask = self.trunk, self.mask
+        v = ad.add(ad.matmul(b, trunk.u), self.params.output_bias)
+        v1 = {a: ad.matmul(b, trunk.first[a])
+              for a in (self.first if mask is None else trunk.first)}
+        v2 = {a: ad.matmul(b, t) for a, t in trunk.second.items()}
+        if mask is None:
+            return Jet(v, v1, v2)
+        m, m1, m2 = mask
+        return Jet(ad.mul(v, m),
+                   {a: ad.add(ad.mul(v1[a], m), ad.mul(v, m1[a])) for a in v1},
+                   {a: ad.add(ad.add(ad.mul(v2[a], m),
+                                     ad.mul(v1[a], 2.0 * m1[a])),
+                              ad.mul(v, m2[a])) for a in v2})
+
+    def jvp(self, f_rows, tangent_rows):
+        """J @ tangent of rows -> outputs (plain arrays), in closed form:
+        t <- (t W)(1 - h^2) through the branch, then (t @ trunk) mask."""
+        h, t = f_rows, tangent_rows
+        last = len(self.params.branch_layers) - 1
+        for i, (w, b) in enumerate(self.params.branch_layers):
+            h = h @ w + b
+            t = t @ w
+            if i < last:
+                h = np.tanh(h)
+                t = t * (1.0 - h * h)
+        t = t @ self.trunk.u
+        return t if self.mask is None else t * self.mask.u
 
 
 def on_grid(model, coords) -> GridModel:

@@ -141,11 +141,9 @@ class JacobianEstimate:
 def model_jvp(model, f: np.ndarray, y_grid, direction: np.ndarray) -> np.ndarray:
     """J @ direction of f -> u(y_grid); model is DeepONetParams or a
     dn.GridModel built for y_grid."""
-    out = dn.on_grid(model, y_grid)(
-        ad.Dual(np.asarray(f, dtype=np.float64)[None, :],
-                np.asarray(direction, dtype=np.float64)[None, :]))
-    tangent = ad.tangent_of(out)
-    return np.asarray(ad.primal_of(tangent)).ravel()
+    return dn.on_grid(model, y_grid).jvp(
+        np.asarray(f, dtype=np.float64)[None, :],
+        np.asarray(direction, dtype=np.float64)[None, :]).ravel()
 
 
 def model_vjp(model, f: np.ndarray, y_grid, covector: np.ndarray) -> np.ndarray:

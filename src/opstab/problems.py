@@ -103,6 +103,16 @@ class CollocationSet:
     interior: np.ndarray  # (n_int, d)
     boundary: np.ndarray  # (n_bc, d)
     initial: np.ndarray   # (n_ic, d)
+    _sources: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def source_matrix(self, problem: ProblemSpec, block: str) -> np.ndarray:
+        """source_matrix onto one block ("interior", "boundary" or
+        "initial"), built on first use and freed with this set."""
+        key = (problem.kind, problem.sensor_count, block)
+        if key not in self._sources:
+            self._sources[key] = source_matrix(problem, getattr(self, block))
+        return self._sources[key]
 
 
 _SENSOR_GRID_CACHE = {}
@@ -247,21 +257,6 @@ def interp_matrix_2d(sensor_grid_pts: np.ndarray, points: np.ndarray) -> np.ndar
     return mat
 
 
-# keyed by point-set identity; holding the array reference keeps ids stable
-_SOURCE_MATRIX_CACHE = {}
-
-
-def _source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
-    """source_matrix, cached for long-lived point sets (collocation)."""
-    key = (problem.kind, problem.sensor_count, id(points))
-    hit = _SOURCE_MATRIX_CACHE.get(key)
-    if hit is not None and hit[0] is points:
-        return hit[1]
-    mat = source_matrix(problem, points)
-    _SOURCE_MATRIX_CACHE[key] = (points, mat)
-    return mat
-
-
 def source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
     """Interpolation matrix A with f(points) = f_sensor_values @ A.T.
 
@@ -273,165 +268,72 @@ def source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
     return interp_matrix_1d(xs, points[:, 0] if points.ndim == 2 else points)
 
 
-# --------------------------------------------------------------------------
-# coordinate jets of the predicted solution
-# --------------------------------------------------------------------------
-
 def _check_domain(points: np.ndarray):
     if points.size and (points.min() < -1e-12 or points.max() > 1.0 + 1e-12):
         raise ProblemError("collocation points outside the unit domain")
 
 
-def _as_cols(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return np.ascontiguousarray(pts.T)
-
-
-class _NetPredictor:
-    """Jets of a DeepONet's output with respect to its coordinates.
-
-    When trunk_cache (a per-call dict) is supplied and the parameters are
-    plain arrays, trunk features and masks are computed once per point
-    set and reused; attacks exploit this since only the branch input
-    changes between PGD iterations.
-    """
-
-    def __init__(self, params, f_rows, trunk_cache=None):
-        self.params = params
-        self.branch_out = dn.branch_apply(params, f_rows)
-        self.cache = trunk_cache
-
-    def _trunk_and_mask(self, points, axis, order):
-        key = (id(points), axis, order)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None and hit[0] is points:
-                return hit[1], hit[2]
-        cols = _as_cols(points)
-        if order:
-            direction = np.zeros_like(cols)
-            direction[axis, :] = 1.0
-            cols = ad.jet2(cols, direction) if order == 2 else ad.jet1(cols, direction)
-        trunk_out = dn.trunk_apply(self.params, cols)
-        mask = dn.transform_mask(self.params.arch.transform, cols)
-        if self.cache is not None:
-            self.cache[key] = (points, trunk_out, mask)
-        return trunk_out, mask
-
-    def _merge(self, trunk_out, mask):
-        u = ad.add(ad.matmul(self.branch_out, trunk_out),
-                   self.params.output_bias)
-        if mask is not None:
-            u = ad.mul(u, mask)
-        return u
-
-    def jet(self, points, axis, order):
-        trunk_out, mask = self._trunk_and_mask(points, axis, order)
-        u = self._merge(trunk_out, mask)
-        return ad.primal_of(u), ad.tangent_of(u), ad.second_of(u)
-
-    def plain(self, points):
-        trunk_out, mask = self._trunk_and_mask(points, 0, 0)
-        return self._merge(trunk_out, mask)
-
-
-class _GraphPredictor:
-    """Jets of an arbitrary coordinate graph u_fn((dim, n) block) -> values.
-
-    Lets analytic solutions stand in for the network when checking the
-    residual operators.
-    """
-
-    def __init__(self, u_fn):
-        self.u_fn = u_fn
-
-    def jet(self, points, axis, order):
-        cols = _as_cols(points)
-        direction = np.zeros_like(cols)
-        direction[axis, :] = 1.0
-        jet = ad.jet2(cols, direction) if order == 2 else ad.jet1(cols, direction)
-        u = self.u_fn(jet)
-        return ad.primal_of(u), ad.tangent_of(u), ad.second_of(u)
-
-    def plain(self, points):
-        return self.u_fn(_as_cols(points))
-
-
 # --------------------------------------------------------------------------
 # residual operators, boundary/initial rules and reference oracles
 # --------------------------------------------------------------------------
-# Each residual records its tape nodes in a fixed order (the jets, then
-# the source where it stands); keep it, because the reverse sweep adds a
-# node's gradient contributions in tape order.
 
-def _antiderivative_residual(pred, source, c, points):
-    _, du, _ = pred.jet(points, 0, 1)
-    return ad.sub(du, source(points))
+@dataclass(frozen=True)
+class Rule:
+    """One mismatch block: fn(jet, source, constants, points) -> (batch, n).
 
+    jet is the prediction's dn.Jet on points, carrying first derivatives
+    along the axes in first and second derivatives along the axes in
+    second; source is the input function interpolated onto points.
+    """
 
-def _poisson1d_residual(pred, source, c, points):
-    _, _, d2u = pred.jet(points, 0, 2)
-    src = source(points)
-    return ad.sub(ad.neg(d2u), src)
-
-
-def _poisson2d_residual(pred, source, c, points):
-    _, _, uxx = pred.jet(points, 0, 2)
-    _, _, uyy = pred.jet(points, 1, 2)
-    src = source(points)
-    return ad.sub(ad.neg(ad.add(uxx, uyy)), src)
+    fn: Callable
+    first: tuple = ()
+    second: tuple = ()
 
 
-def _helmholtz_residual(pred, source, c, points):
-    u, _, d2u = pred.jet(points, 0, 2)
-    src = source(points)
-    return ad.sub(ad.add(ad.neg(d2u), ad.mul(c["shift"], u)), src)
+def _antiderivative_residual(jet, source, c, points):
+    return ad.sub(jet.first[0], source)
 
 
-def _heat_ic_residual(pred, source, c, points):
-    _, _, uxx = pred.jet(points, 0, 2)
-    _, ut, _ = pred.jet(points, 1, 1)
-    return ad.sub(ut, ad.mul(c["alpha"], uxx))
+def _poisson1d_residual(jet, source, c, points):
+    return ad.sub(ad.neg(jet.second[0]), source)
 
 
-def _heat_source_residual(pred, source, c, points):
-    return ad.sub(_heat_ic_residual(pred, source, c, points), source(points))
+def _poisson2d_residual(jet, source, c, points):
+    return ad.sub(ad.neg(ad.add(jet.second[0], jet.second[1])), source)
 
 
-def _diffrec_source_residual(pred, source, c, points):
-    u, _, uxx = pred.jet(points, 0, 2)
-    _, ut, _ = pred.jet(points, 1, 1)
-    src = source(points)
-    react = ad.mul(c["reaction"], ad.square(u))
-    return ad.sub(ad.sub(ad.sub(ut, ad.mul(c["diffusion"], uxx)), react), src)
+def _helmholtz_residual(jet, source, c, points):
+    return ad.sub(ad.add(ad.neg(jet.second[0]), ad.mul(c["shift"], jet.u)),
+                  source)
 
 
-def _diffrec_coeff_residual(pred, source, c, points):
-    u, _, uxx = pred.jet(points, 0, 2)
-    _, ut, _ = pred.jet(points, 1, 1)
-    react = ad.mul(source(points), ad.square(u))
-    fixed_src = np.sin(np.pi * points[:, 0])
-    return ad.sub(ad.add(ad.sub(ut, ad.mul(c["diffusion"], uxx)), react),
-                  fixed_src)
+def _heat_ic_residual(jet, source, c, points):
+    return ad.sub(jet.first[1], ad.mul(c["alpha"], jet.second[0]))
 
 
-def _value(pred, source, points):
-    """u = 0 there."""
-    return pred.plain(points)
+def _heat_source_residual(jet, source, c, points):
+    return ad.sub(_heat_ic_residual(jet, source, c, points), source)
 
 
-def _neumann(pred, source, points):
-    """u_x = 0 there."""
-    _, du, _ = pred.jet(points, 0, 1)
-    return du
+def _diffrec_source_residual(jet, source, c, points):
+    diffusion = ad.sub(jet.first[1], ad.mul(c["diffusion"], jet.second[0]))
+    react = ad.mul(c["reaction"], ad.square(jet.u))
+    return ad.sub(ad.sub(diffusion, react), source)
 
 
-def _equals_input(pred, source, points):
-    """u = f there."""
-    u = pred.plain(points)
-    return ad.sub(u, source(points))
+def _diffrec_coeff_residual(jet, source, c, points):
+    diffusion = ad.sub(jet.first[1], ad.mul(c["diffusion"], jet.second[0]))
+    react = ad.mul(source, ad.square(jet.u))
+    return ad.sub(ad.add(diffusion, react), np.sin(np.pi * points[:, 0]))
+
+
+# u = 0 there
+_VALUE = Rule(lambda jet, source, c, points: jet.u)
+# u_x = 0 there
+_NEUMANN = Rule(lambda jet, source, c, points: jet.first[0], first=(0,))
+# u = f there
+_EQUALS_INPUT = Rule(lambda jet, source, c, points: ad.sub(jet.u, source))
 
 
 def _bitrig_coeffs_from_sensors(problem: ProblemSpec,
@@ -468,10 +370,8 @@ def _heat_reference(problem, sample, points, n):
 class Kind:
     """Everything opstab knows about one problem kind.
 
-    residual(pred, source, constants, points) is the interior residual
-    block; boundary(pred, source, points) and initial(pred, source,
-    points) are the boundary and initial-condition mismatches, where
-    source(points) is the input function interpolated onto points.
+    residual, boundary and initial are the Rules of the interior
+    residual and the boundary and initial-condition mismatches.
     reference(problem, sample, points, n) is the classical oracle at
     resolution n. sensors(sensor_count) lays out the sensors.
     """
@@ -484,10 +384,10 @@ class Kind:
     transforms: tuple  # valid hard-constraint transforms, default first
     coord_dim: int
     eval_n: int  # default evaluation-grid points per axis
-    residual: Callable
+    residual: Rule
     reference: Callable
-    boundary: Callable = _value
-    initial: Callable = _value
+    boundary: Rule = _VALUE
+    initial: Rule = _VALUE
     sensors: Callable = _uniform_sensors
 
 
@@ -498,42 +398,46 @@ REGISTRY = {entry.name: entry for entry in (
     Kind("antiderivative", sensor_count=50, collocation_counts=(20, 0, 1),
          sampler=SamplerSpec("grf", length_scale=0.2), constants={},
          transforms=("none",), coord_dim=1, eval_n=50,
-         residual=_antiderivative_residual,
+         residual=Rule(_antiderivative_residual, first=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_ode_rk45(sample, points).values),
     Kind("poisson1d", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("poly3"), constants={},
          transforms=("none", "dirichlet_1d"), coord_dim=1, eval_n=100,
-         residual=_poisson1d_residual,
+         residual=Rule(_poisson1d_residual, second=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_poisson_1d_fd(sample, n).eval_at(points)),
     Kind("poisson2d", sensor_count=100, collocation_counts=(10000, 0, 0),
          sampler=SamplerSpec("bitrig", modes=10), constants={},
          transforms=("dirichlet_2d_space", "none"), coord_dim=2, eval_n=100,
-         residual=_poisson2d_residual, reference=_poisson2d_reference,
+         residual=Rule(_poisson2d_residual, second=(0, 1)),
+         reference=_poisson2d_reference,
          sensors=_interior_tensor_sensors),
     Kind("helmholtz_neumann", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"shift": 2.0}, transforms=("none",), coord_dim=1,
-         eval_n=100, residual=_helmholtz_residual, boundary=_neumann,
+         eval_n=100, residual=Rule(_helmholtz_residual, second=(0,)),
+         boundary=_NEUMANN,
          reference=lambda problem, sample, points, n:
              sv.solve_helmholtz_neumann_fd(
                  sample, n, shift=problem.constants["shift"]).eval_at(points)),
     Kind("heat_ic", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=1.0),
          constants={"alpha": 0.01}, transforms=("none",),
-         residual=_heat_ic_residual, initial=_equals_input,
+         residual=Rule(_heat_ic_residual, first=(1,), second=(0,)),
+         initial=_EQUALS_INPUT,
          reference=_heat_reference),
     Kind("heat_source", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"alpha": 0.01},
          transforms=("none", "zero_ic_dirichlet_bc"),
-         residual=_heat_source_residual, reference=_heat_reference),
+         residual=Rule(_heat_source_residual, first=(1,), second=(0,)),
+         reference=_heat_reference),
     Kind("diffrec_source", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"diffusion": 0.01, "reaction": 0.01},
          transforms=("none", "zero_ic_dirichlet_bc"),
-         residual=_diffrec_source_residual,
+         residual=Rule(_diffrec_source_residual, first=(1,), second=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_diffusion_reaction(
                  sample, "source", problem.constants["diffusion"],
@@ -542,7 +446,7 @@ REGISTRY = {entry.name: entry for entry in (
          sampler=SamplerSpec("grf", length_scale=1.4, rescale=(1.0, 5.0)),
          constants={"diffusion": 0.01},
          transforms=("none", "zero_ic_dirichlet_bc"),
-         residual=_diffrec_coeff_residual,
+         residual=Rule(_diffrec_coeff_residual, first=(1,), second=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_diffusion_reaction(
                  sample, "coefficient", problem.constants["diffusion"], 0.0,
@@ -569,11 +473,6 @@ class LossBreakdown:
         return cls(physics, bc, ic, physics + bc + ic)
 
 
-def _source(problem: ProblemSpec, f_rows):
-    """points -> the input rows interpolated onto points, (batch, n)."""
-    return lambda points: ad.matmul(f_rows, _source_matrix(problem, points).T)
-
-
 def _transform_enforces(transform: str):
     """Loss components a hard-constraint transform already satisfies."""
     return {
@@ -584,26 +483,39 @@ def _transform_enforces(transform: str):
     }[transform]
 
 
-def loss_blocks(problem: ProblemSpec, params, f_rows, colloc: CollocationSet,
-                trunk_cache=None):
-    """Raw mismatch blocks keyed "physics"/"bc"/"ic", each (batch, n).
+class LossBlocks:
+    """The loss blocks of one model on one collocation set.
 
-    Components a hard-constraint transform already enforces are omitted.
-    params may hold numpy arrays or tape Vars; f_rows is the (batch, m)
-    stack of input-function sensor values, numpy or Var. trunk_cache (a
-    dict) may be supplied to reuse trunk features across calls when the
-    parameters are fixed arrays.
+    Each block's trunk jet and mask depend only on the weights and the
+    points, so they are computed once, when the object is built: as tape
+    Vars when params hold Vars (training), as plain arrays otherwise (an
+    attack reuses them for every iterate). Calling the object on the
+    (batch, m) input rows (numpy or Var) returns the raw mismatch blocks
+    keyed "physics"/"bc"/"ic", each (batch, n). Components a
+    hard-constraint transform already enforces are omitted.
     """
-    enforced = _transform_enforces(params.arch.transform)
-    pred = _NetPredictor(params, f_rows, trunk_cache=trunk_cache)
-    entry, source = problem.entry, _source(problem, f_rows)
-    blocks = {"physics": entry.residual(pred, source, problem.constants,
-                                        colloc.interior)}
-    if len(colloc.boundary) and "bc" not in enforced:
-        blocks["bc"] = entry.boundary(pred, source, colloc.boundary)
-    if len(colloc.initial) and "ic" not in enforced:
-        blocks["ic"] = entry.initial(pred, source, colloc.initial)
-    return blocks
+
+    def __init__(self, problem: ProblemSpec, params, colloc: CollocationSet):
+        enforced = _transform_enforces(params.arch.transform)
+        entry = problem.entry
+        self.problem = problem
+        self.params = params
+        self.blocks = []
+        for name, rule, block in (("physics", entry.residual, "interior"),
+                                  ("bc", entry.boundary, "boundary"),
+                                  ("ic", entry.initial, "initial")):
+            points = getattr(colloc, block)
+            if name != "physics" and (not len(points) or name in enforced):
+                continue
+            model = dn.GridModel(params, points, rule.first, rule.second)
+            self.blocks.append((name, rule, model, points,
+                                colloc.source_matrix(problem, block)))
+
+    def __call__(self, f_rows) -> dict:
+        b = dn.branch_apply(self.params, f_rows)
+        return {name: rule.fn(model.jet(b), ad.matmul(f_rows, mat.T),
+                              self.problem.constants, points)
+                for name, rule, model, points, mat in self.blocks}
 
 
 def loss_graph(problem: ProblemSpec, params, f_rows, colloc: CollocationSet):
@@ -612,7 +524,7 @@ def loss_graph(problem: ProblemSpec, params, f_rows, colloc: CollocationSet):
     All penalty terms are plain means of squared mismatches; omitted
     components are exactly 0.0.
     """
-    blocks = loss_blocks(problem, params, f_rows, colloc)
+    blocks = LossBlocks(problem, params, colloc)(f_rows)
     physics = ad.mean(ad.square(blocks["physics"]))
     bc = ad.mean(ad.square(blocks["bc"])) if "bc" in blocks else 0.0
     ic = ad.mean(ad.square(blocks["ic"])) if "ic" in blocks else 0.0
@@ -655,9 +567,10 @@ def assemble_loss(problem: ProblemSpec, params, batch) -> LossBreakdown:
 def physics_residual(problem: ProblemSpec, network, f_sample, points) -> np.ndarray:
     """Residual of the governing operator at the given points (numpy).
 
-    network is either trained DeepONetParams or a bare coordinate graph
-    u_fn((dim, n) block) -> values, which lets analytic solutions be
-    checked against the residual operators directly.
+    network is either trained DeepONetParams or a function points ->
+    dn.Jet giving the exact value and derivatives of a known solution,
+    which lets analytic solutions be checked against the residual
+    operators directly.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -670,10 +583,12 @@ def physics_residual(problem: ProblemSpec, network, f_sample, points) -> np.ndar
         f_sample.values if isinstance(f_sample, FunctionSample) else f_sample,
         dtype=np.float64)
     rows = values[None, :]
+    rule = problem.entry.residual
     if isinstance(network, dn.DeepONetParams):
-        pred = _NetPredictor(network, rows)
+        jet = dn.GridModel(network, pts, rule.first, rule.second).jet(
+            dn.branch_apply(network, rows))
     else:
-        pred = _GraphPredictor(network)
-    res = problem.entry.residual(pred, _source(problem, rows),
-                                 problem.constants, pts)
+        jet = network(pts)
+    res = rule.fn(jet, rows @ source_matrix(problem, pts).T,
+                  problem.constants, pts)
     return np.asarray(res).reshape(-1) if np.ndim(res) <= 1 else np.asarray(res)[0]

@@ -174,25 +174,23 @@ def train(config: TrainConfig, progress_sink: Optional[Callable] = None
                 params, problem, rows, colloc, [config.attack], attack_seeds)
 
         tape = ad.Tape()
-        f_const = tape.constant(rows)
         lifted, leaves = dn.lift_params(tape, params)
-        physics, bc, ic, total = pb.loss_graph(problem, lifted, f_const, colloc)
-        total_value = float(np.asarray(total.value if isinstance(total, ad.Var)
-                                       else total))
-        if not np.isfinite(total_value):
+        terms = pb.loss_graph(problem, lifted, tape.constant(rows), colloc)
+        physics, bc, ic, total = (
+            float(np.asarray(t.value if isinstance(t, ad.Var) else t))
+            for t in terms)
+        if not np.isfinite(total):
             raise NonFiniteLossError(step, params)
-        grads = ad.grad(total, leaves)
+        grads = ad.grad(terms[3], leaves)
         grad_list = [grads[leaf] for leaf in leaves]
+        # drop this step's tape before the next one is recorded
+        del tape, lifted, leaves, terms, grads
         arrays, state = adam_step(arrays, grad_list, state,
                                   config.learning_rate, beta1, beta2,
                                   config.adam_eps, block_names=names)
         params = dn.with_param_values(params, arrays)
 
-        entry = StepLog(step, phase,
-                        float(np.asarray(physics.value if isinstance(physics, ad.Var) else physics)),
-                        float(np.asarray(bc.value if isinstance(bc, ad.Var) else bc)),
-                        float(np.asarray(ic.value if isinstance(ic, ad.Var) else ic)),
-                        total_value)
+        entry = StepLog(step, phase, physics, bc, ic, total)
         log.append(entry)
         if progress_sink is not None:
             progress_sink(entry, params)

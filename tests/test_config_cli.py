@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from opstab import cli
 from opstab import deeponet as dn
 from opstab import problems as pb
+from opstab import training as tr
 from opstab.config import (RunConfig, ValidationError, parse_config,
                            parse_config_string, write_config)
 
@@ -234,16 +236,29 @@ class TestCliEvaluate:
         plot = out / "plot_poisson1d_0_base.csv"
         assert plot.exists()
 
-    def test_repeated_evaluate_keeps_source_cache_size(self, tmp_path):
+    def test_repeated_train_and_evaluate_retain_under_1mb(self, tmp_path):
+        # a poisson2d interpolation matrix onto the 10,000 collocation
+        # points is 8 MB; nothing built for one call may outlive it
         path, out = write_small_config(tmp_path)
         cli.main(["train", "--config", str(path)])
         ckpt = str(out / "checkpoint_stable.npz")
         argv = ["evaluate", "--config", str(path), "--baseline", ckpt,
                 "--stable", ckpt]
-        assert cli.main(argv) == 0
-        cached = len(pb._SOURCE_MATRIX_CACHE)
-        assert cli.main(argv) == 0
-        assert len(pb._SOURCE_MATRIX_CACHE) == cached
+        prob = pb.default_problem("poisson2d")
+        cfg = tr.TrainConfig(problem=prob, steps=1, batch_size=2,
+                             arch=pb.default_arch(prob, width=8, depth=2))
+        tracemalloc.start()
+        try:
+            tr.train_baseline(cfg)  # first calls fill the import-time caches
+            assert cli.main(argv) == 0
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                tr.train_baseline(cfg)
+                assert cli.main(argv) == 0
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
 
     def test_arch_mismatch_is_validation_error(self, tmp_path):
         path, out = write_small_config(tmp_path)

@@ -129,17 +129,25 @@ class TestGridModel:
         assert np.array_equal(dn.forward(params, rows, coords), want)
         assert np.array_equal(dn.forward(grid, rows, coords), want)
 
-        direction = np.random.default_rng(2).standard_normal((4, 12))
-        jvp_grid = ad.tangent_of(grid(ad.Dual(rows, direction)))
-        jvp_net = ad.tangent_of(dn.apply_net(params, ad.Dual(rows, direction), cols))
-        assert np.array_equal(jvp_grid, jvp_net)
-
         grads = []
         for fn in (grid, lambda f: dn.apply_net(params, f, cols)):
             tape = ad.Tape()
             f_var = tape.leaf(rows)
             grads.append(ad.grad(ad.total(ad.square(fn(f_var))), [f_var])[f_var])
         assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("transform,coords", GRID_CASES)
+    def test_jvp_matches_central_differences(self, transform, coords):
+        arch = small_arch(transform, coord_dim=1 if coords.ndim == 1 else 2)
+        params = dn.glorot_init(arch, 3)
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((2, 12))
+        direction = rng.standard_normal((2, 12))
+        grid = dn.GridModel(params, coords)
+        h = 1e-6
+        fd = (grid(rows + h * direction) - grid(rows - h * direction)) / (2 * h)
+        assert np.linalg.norm(grid.jvp(rows, direction) - fd) \
+            <= 1e-8 * np.linalg.norm(fd)
 
     def test_reused_only_on_its_own_coordinates(self):
         params = dn.glorot_init(small_arch(), 4)
@@ -150,6 +158,54 @@ class TestGridModel:
             dn.on_grid(grid, np.linspace(0, 1, 8))
         with pytest.raises(dn.ArchError):
             dn.forward(grid, np.ones(12), coords[::-1])
+
+
+JET_CASES = [("none", 1), ("none", 2), ("dirichlet_1d", 1),
+             ("dirichlet_1d", 2), ("dirichlet_2d_space", 2),
+             ("zero_ic_dirichlet_bc", 2)]
+
+
+class TestJet:
+    """GridModel.jet against central differences of dn.forward."""
+
+    @pytest.mark.parametrize("transform,dim", JET_CASES)
+    def test_matches_central_differences(self, transform, dim):
+        params = dn.glorot_init(small_arch(transform, coord_dim=dim), 5)
+        rng = np.random.default_rng(9)
+        for _, a in dn.param_items(params):  # nonzero biases too
+            a += 0.1 * rng.standard_normal(a.shape)
+        rows = rng.standard_normal((3, 12))
+        points = rng.uniform(0.1, 0.9, (20, dim))
+        axes = tuple(range(dim))
+        jet = dn.GridModel(params, points, first=axes, second=axes).jet(
+            dn.branch_apply(params, rows))
+
+        def u(shift):
+            return dn.forward(params, rows, points + shift)
+
+        assert np.array_equal(jet.u, u(0.0))
+        for a in axes:
+            e = np.eye(dim)[a]
+            d1 = (u(1e-5 * e) - u(-1e-5 * e)) / 2e-5
+            d2 = (u(2e-4 * e) - 2 * u(0.0) + u(-2e-4 * e)) / 4e-8
+            assert np.linalg.norm(jet.first[a] - d1) <= 1e-6 * np.linalg.norm(d1)
+            assert np.linalg.norm(jet.second[a] - d2) <= 1e-6 * np.linalg.norm(d2)
+
+    def test_single_layer_trunk_is_linear_in_coordinates(self):
+        params = dn.glorot_init(dn.ArchSpec((12, 16), (1, 16)), 5)
+        b = dn.branch_apply(params, np.ones((2, 12)))
+        jet = dn.GridModel(params, np.linspace(0, 1, 5), first=(0,),
+                           second=(0,)).jet(b)
+        w = params.trunk_layers[0][0]
+        assert np.array_equal(jet.first[0], b @ w)
+        assert np.array_equal(jet.second[0], np.zeros((2, 1)))
+
+    def test_only_requested_axes_without_mask(self):
+        params = dn.glorot_init(small_arch(coord_dim=2), 5)
+        grid = dn.GridModel(params, np.full((4, 2), 0.5), first=(1,),
+                            second=(0,))
+        jet = grid.jet(dn.branch_apply(params, np.ones((1, 12))))
+        assert set(jet.first) == {1} and set(jet.second) == {0}
 
 
 class TestTransforms:

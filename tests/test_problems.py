@@ -4,7 +4,6 @@ import pytest
 from opstab import autodiff as ad
 from opstab import deeponet as dn
 from opstab import problems as pb
-from opstab.deeponet import _coord_row
 from opstab.sampling import FunctionSample
 
 
@@ -22,12 +21,31 @@ def sensor_subset(problem, count, seed=0):
     return xs[np.sort(idx)]
 
 
+def analytic(u, first=None, second=None):
+    """A known solution as physics_residual takes it: points -> dn.Jet,
+    from closed-form functions of the (n, d) points; first and second
+    map an axis to the derivative along it."""
+    return lambda pts: dn.Jet(
+        u(pts), {a: d(pts) for a, d in (first or {}).items()},
+        {a: d(pts) for a, d in (second or {}).items()})
+
+
+def sin_x(pts):
+    return np.sin(np.pi * pts[:, 0])
+
+
+# u = sin(pi x), constant in t where there is a t
+SINE_X = analytic(sin_x, first={1: lambda pts: np.zeros(len(pts))},
+                  second={0: lambda pts: -np.pi ** 2 * sin_x(pts)})
+
+
 class TestResidualOperators:
     def test_antiderivative_exact_pair(self):
         prob = pb.default_problem("antiderivative")
         xs = pb.sensor_grid(prob)
-        res = pb.physics_residual(prob, lambda y: ad.square(y), 2 * xs,
-                                  np.linspace(0.05, 0.95, 100))
+        u = analytic(lambda pts: pts[:, 0] ** 2,
+                     first={0: lambda pts: 2 * pts[:, 0]})
+        res = pb.physics_residual(prob, u, 2 * xs, np.linspace(0.05, 0.95, 100))
         # f = 2y is linear so interpolation is exact everywhere
         assert np.abs(res).max() < 1e-12
 
@@ -35,7 +53,7 @@ class TestResidualOperators:
         prob = pb.default_problem("poisson1d")
         xs = pb.sensor_grid(prob)
         pts = sensor_subset(prob, 100)
-        res = pb.physics_residual(prob, lambda y: ad.sin(ad.mul(np.pi, y)),
+        res = pb.physics_residual(prob, SINE_X,
                                   np.pi ** 2 * np.sin(np.pi * xs), pts)
         assert np.abs(res).max() < 1e-8
 
@@ -46,14 +64,14 @@ class TestResidualOperators:
         rng = np.random.default_rng(1)
         pts = sensors[rng.choice(len(sensors), 100, replace=False)]
 
-        def u(yx):
-            x = _coord_row(yx, 0)
-            y = _coord_row(yx, 1)
+        def u(pts):
             scale = 1.0 / (2 * np.pi ** 2)
-            return ad.mul(scale, ad.mul(ad.sin(ad.mul(np.pi, x)),
-                                        ad.sin(ad.mul(np.pi, y))))
+            return scale * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
 
-        res = pb.physics_residual(prob, u, f_vals, pts)
+        minus_pi2_u = lambda pts: -np.pi ** 2 * u(pts)
+        res = pb.physics_residual(
+            prob, analytic(u, second={0: minus_pi2_u, 1: minus_pi2_u}),
+            f_vals, pts)
         assert np.abs(res).max() < 1e-8
 
     def test_helmholtz_pair(self):
@@ -61,8 +79,7 @@ class TestResidualOperators:
         xs = pb.sensor_grid(prob)
         pts = sensor_subset(prob, 100, seed=3)
         res = pb.physics_residual(
-            prob, lambda y: ad.sin(ad.mul(np.pi, y)),
-            (2 + np.pi ** 2) * np.sin(np.pi * xs), pts)
+            prob, SINE_X, (2 + np.pi ** 2) * np.sin(np.pi * xs), pts)
         assert np.abs(res).max() < 1e-8
 
     def test_heat_source_steady_pair(self):
@@ -74,11 +91,8 @@ class TestResidualOperators:
             xs[rng.choice(len(xs), 100, replace=False)],
             rng.uniform(0, 1, 100),
         ])
-
-        def u(yt):  # time-independent steady state of u_t = a u_xx + f
-            return ad.sin(ad.mul(np.pi, _coord_row(yt, 0)))
-
-        res = pb.physics_residual(prob, u,
+        # time-independent steady state of u_t = a u_xx + f
+        res = pb.physics_residual(prob, SINE_X,
                                   alpha * np.pi ** 2 * np.sin(np.pi * xs), pts)
         assert np.abs(res).max() < 1e-8
 
@@ -103,7 +117,8 @@ class TestResidualOperators:
         assert abs(res - (ut - alpha * uxx)) < 1e-4
 
     def test_diffrec_source_signs_as_stated(self):
-        # u known, f chosen so the residual u_t - D u_xx - k u^2 - f is zero
+        # u = sin(pi x) known, f chosen so the residual u_t - D u_xx - k u^2 - f
+        # is zero
         prob = pb.default_problem("diffrec_source")
         d = prob.constants["diffusion"]
         k = prob.constants["reaction"]
@@ -112,12 +127,9 @@ class TestResidualOperators:
         pts = np.column_stack([xs[rng.choice(len(xs), 50, replace=False)],
                                rng.uniform(0, 1, 50)])
 
-        def u(yt):  # u(x, t) = sin(pi x), time-independent
-            return ad.sin(ad.mul(np.pi, _coord_row(yt, 0)))
-
         s = np.sin(np.pi * xs)
         f_vals = d * np.pi ** 2 * s - k * s ** 2
-        res = pb.physics_residual(prob, u, f_vals, pts)
+        res = pb.physics_residual(prob, SINE_X, f_vals, pts)
         assert np.abs(res).max() < 1e-8
 
     def test_diffrec_coeff_signs_as_stated(self):
@@ -130,10 +142,7 @@ class TestResidualOperators:
         rng = np.random.default_rng(7)
         pts = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)])
 
-        def u(yt):
-            return ad.sin(ad.mul(np.pi, _coord_row(yt, 0)))
-
-        res = pb.physics_residual(prob, u, k_vals, pts)
+        res = pb.physics_residual(prob, SINE_X, k_vals, pts)
         s = np.sin(np.pi * pts[:, 0])
         k_interp = np.interp(pts[:, 0], xs, k_vals)
         expected = d * np.pi ** 2 * s + k_interp * s ** 2 - s
@@ -146,6 +155,85 @@ class TestResidualOperators:
         sample = pb.sample_input(prob, 0)
         with pytest.raises(pb.ProblemError):
             pb.physics_residual(prob, params, sample, np.array([1.5]))
+
+
+def fd_jet(params, rows):
+    """points -> dn.Jet of the network by central differences of
+    dn.forward, a predictor independent of the closed-form jets."""
+    def jet(points):
+        def u(shift):
+            return dn.forward(params, rows, points + shift)
+        eye = np.eye(points.shape[1])
+        first = {a: (u(1e-5 * e) - u(-1e-5 * e)) / 2e-5
+                 for a, e in enumerate(eye)}
+        second = {a: (u(2e-4 * e) - 2 * u(0.0) + u(-2e-4 * e)) / 4e-8
+                  for a, e in enumerate(eye)}
+        return dn.Jet(u(0.0), first, second)
+    return jet
+
+
+def small_problem(kind):
+    if kind == "poisson2d":
+        return pb.default_problem(kind, collocation_counts=(64, 0, 0))
+    return pb.default_problem(kind)
+
+
+def perturbed_params(prob, seed):
+    """A width-8 net with every block (biases too) away from zero."""
+    params = dn.glorot_init(pb.default_arch(prob, width=8), seed)
+    rng = np.random.default_rng(seed)
+    return dn.with_param_values(params, [
+        a + 0.1 * rng.standard_normal(a.shape)
+        for _, a in dn.param_items(params)])
+
+
+class TestLossesAgainstFiniteDifferences:
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_loss_terms(self, kind):
+        prob = small_problem(kind)
+        params = perturbed_params(prob, 1)
+        colloc = pb.make_collocation(prob)
+        rows = np.stack([s.values for s in pb.sample_batch(prob, 3, 2)])
+        got = pb.loss_graph(prob, params, rows, colloc)[:3]
+        entry, jet = prob.entry, fd_jet(params, rows)
+        for term, rule, pts in zip(
+                got, (entry.residual, entry.boundary, entry.initial),
+                (colloc.interior, colloc.boundary, colloc.initial)):
+            if not len(pts):
+                assert term == 0.0
+                continue
+            source = rows @ pb.source_matrix(prob, pts).T
+            block = rule.fn(jet(pts), source, prob.constants, pts)
+            assert float(term) == pytest.approx(np.mean(block ** 2), rel=1e-5)
+
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_weight_gradients(self, kind):
+        prob = small_problem(kind)
+        params = perturbed_params(prob, 2)
+        colloc = pb.make_collocation(prob)
+        rows = np.stack([s.values for s in pb.sample_batch(prob, 4, 2)])
+        arrays = [a for _, a in dn.param_items(params)]
+        rng = np.random.default_rng(3)
+        direction = [rng.standard_normal(a.shape) for a in arrays]
+
+        def terms_at(step):
+            moved = dn.with_param_values(
+                params, [a + step * d for a, d in zip(arrays, direction)])
+            return [float(t) for t in pb.loss_graph(prob, moved, rows, colloc)]
+
+        tape = ad.Tape()
+        lifted, leaves = dn.lift_params(tape, params)
+        terms = pb.loss_graph(prob, lifted, tape.constant(rows), colloc)
+        h = 1e-6
+        fd = (np.array(terms_at(h)) - np.array(terms_at(-h))) / (2 * h)
+        for term, want in zip(terms, fd):
+            if not isinstance(term, ad.Var):
+                assert term == 0.0
+                continue
+            grads = ad.grad(term, leaves)
+            got = sum(np.sum(grads[leaf] * d)
+                      for leaf, d in zip(leaves, direction))
+            assert got == pytest.approx(want, rel=1e-6)
 
 
 class TestAssembleLoss:
