@@ -4,21 +4,21 @@ Two PGD variants share one ascent loop: the training-time attack climbs
 the physics-informed loss (cheap surrogate, no reference solve needed),
 and the evaluation attack climbs the squared error against a fixed
 reference solution. Both project every iterate back onto the epsilon
-ball around the clean input; FGSM is the single-step special case.
+ball around the clean input. FGSM is the config n_iter = 1, step_alpha
+= epsilon, warm_start = false.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import deeponet as dn
 from . import problems as pb
-from .sampling import FunctionSample
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +76,6 @@ class AttackTrace:
     final_perturbation_norm: float
 
 
-def _values_of(f) -> np.ndarray:
-    if isinstance(f, FunctionSample):
-        return np.asarray(f.values, dtype=np.float64)
-    return np.asarray(f, dtype=np.float64)
-
-
 def project(f_tilde, f, config: AttackConfig) -> np.ndarray:
     """Project f_tilde onto the epsilon ball around f (componentwise clip
     for linf; radial rescale for l2). Idempotent and non-expansive."""
@@ -94,9 +88,11 @@ def project(f_tilde, f, config: AttackConfig) -> np.ndarray:
         return np.clip(f_tilde, f - eps, f + eps)
     delta = f_tilde - f
     norm = np.linalg.norm(delta)
-    # relative slack makes the projection exactly idempotent despite the
-    # 1-ulp rounding of a previous radial rescale
-    if norm <= eps * (1.0 + 1e-12) or norm == 0.0:
+    # slack for the rounding of a previous radial rescale: relative to eps
+    # for the scale factor and relative to |f| for f + delta, so the
+    # projection is exactly idempotent also when eps << |f|
+    slack = 1e-12 * eps + 4.0 * np.finfo(np.float64).eps * np.linalg.norm(f)
+    if norm <= eps + slack or norm == 0.0:
         return f_tilde.copy()
     return f + delta * (eps / norm)
 
@@ -173,35 +169,6 @@ def _batch_loss_and_grad(problem, params, colloc):
     return fn
 
 
-def fgsm(params: dn.DeepONetParams, problem: pb.ProblemSpec, f,
-         collocation: pb.CollocationSet, epsilon: float) -> np.ndarray:
-    """Single sign-gradient step of size epsilon on the physics loss."""
-    values = _values_of(f)
-    tape = ad.Tape()
-    f_var = tape.leaf(values[None, :])
-    _, _, _, total = pb.loss_graph(problem, params, f_var, collocation)
-    g = ad.grad(total, [f_var])[f_var][0]
-    g = np.nan_to_num(g, nan=0.0)
-    return values + epsilon * np.sign(g)
-
-
-def attack_physics_loss(params: dn.DeepONetParams, problem: pb.ProblemSpec,
-                        f, collocation: pb.CollocationSet,
-                        config: AttackConfig, seed: int = 0):
-    """PGD ascent on the physics-informed loss (the training-time attack).
-
-    Warm-starts from f + U(-eps, eps) noise when configured, then runs
-    n_iter dual-norm ascent steps with projection. Returns (f_tilde,
-    AttackTrace).
-    """
-    values = _values_of(f)
-    tilde, losses = attack_physics_loss_batch(
-        params, problem, values[None, :], collocation, [config], [seed])
-    trace = AttackTrace(losses[:, 0],
-                        perturbation_norm(tilde[0], values, config.resolve_for(values)))
-    return tilde[0], trace
-
-
 def attack_physics_loss_batch(params, problem, f_rows, collocation,
                               configs, seeds):
     """Batched variant used inside training; rows are attacked jointly.
@@ -234,33 +201,19 @@ def attack_solution_error(model, f, u_true_on_grid, y_grid,
     """PGD ascent on ||G(f_tilde)(y) - u_true(y)||^2 (the evaluation attack).
 
     Starts from the clean input (no warm start) and maximizes deviation
-    from the fixed reference solution. model is DeepONetParams, a
-    dn.GridModel built for y_grid, or a callable (f_row_var, y_grid) ->
-    output block for oracle tests. Returns (f_tilde, AttackTrace).
+    from the fixed reference solution. model is DeepONetParams or a
+    dn.GridModel built for y_grid; the input gradient is the closed-form
+    GridModel.vjp of 2 (G(f_tilde) - u_true). Returns (f_tilde,
+    AttackTrace).
     """
-    values = _values_of(f)
+    values = np.asarray(f, dtype=np.float64)
     u_true = np.asarray(u_true_on_grid, dtype=np.float64)
     cfg = config.resolve_for(values)
-
-    if isinstance(model, (dn.DeepONetParams, dn.GridModel)):
-        predict = dn.on_grid(model, y_grid)
-    else:
-        def predict(f_var):
-            return model(f_var, y_grid)
+    model = dn.on_grid(model, y_grid)
 
     def loss_and_grad(rows):
-        tape = ad.Tape()
-        f_var = tape.leaf(rows)
-        out = predict(f_var)
-        err = ad.sub(out, u_true[None, :])
-        loss = ad.total(ad.square(err))
-        if isinstance(loss, ad.Var):
-            g = ad.grad(loss, [f_var])[f_var]
-            val = float(loss.value)
-        else:  # model ignores its input entirely
-            g = np.zeros_like(rows)
-            val = float(loss)
-        return np.array([val]), g
+        err = model(rows) - u_true
+        return np.array([np.sum(err * err)]), model.vjp(rows, 2.0 * err)
 
     tilde, losses = _pgd_loop(loss_and_grad, values[None, :], [cfg],
                               values[None, :].copy())

@@ -24,6 +24,11 @@ from .attacks import AttackConfig, attack_solution_error, project
 from .config import RunConfig, ValidationError, parse_config, write_config
 
 
+# evaluate, attack, jacobian and generate-data draw sample i from
+# [run] seed + EVAL_SEED_OFFSET + i, so all four score the same inputs
+EVAL_SEED_OFFSET = 1_000_000
+
+
 def _load_config(path) -> RunConfig:
     if not os.path.exists(path):
         raise ValidationError(f"config file not found: {path}")
@@ -88,7 +93,7 @@ def cmd_evaluate(args) -> int:
     opts = rc.eval_options
     datasets = ev.build_eval_datasets(
         rc.problem, models[opts.attack_model], opts.n_samples, rc.attack,
-        seed=rc.seed + 1_000_000, eval_points=opts.eval_points)
+        seed=rc.seed + EVAL_SEED_OFFSET, eval_points=opts.eval_points)
     report = ev.stability_report(models, datasets,
                                  spectral_functions=opts.spectral_functions,
                                  power_tol=opts.power_tol,
@@ -106,6 +111,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.n_samples is not None and args.n_samples < 1:
+        raise ValidationError(
+            f"--n-samples must be at least 1, got {args.n_samples}")
     rc = _load_config(args.config)
     out = _ensure_outdir(rc)
     n = args.n_samples or min(rc.eval_options.n_samples, 20)
@@ -120,7 +128,8 @@ def cmd_attack(args) -> int:
         iw = csv.writer(inf)
         iw.writerow(["sample_id", "sensor_index", "x", "f", "f_tilde"])
         for i in range(n):
-            sample = pb.sample_input(rc.problem, rc.seed + 1_000_000 + i)
+            sample = pb.sample_input(rc.problem,
+                                     rc.seed + EVAL_SEED_OFFSET + i)
             u_true = ev.reference_solution(rc.problem, sample, y_grid)
             f_tilde, trace = attack_solution_error(model, sample.values,
                                                    u_true, y_grid, rc.attack)
@@ -149,7 +158,8 @@ def cmd_jacobian(args) -> int:
                          "residual"])
         norms = []
         for i in range(opts.spectral_functions):
-            sample = pb.sample_input(rc.problem, rc.seed + 2_000_000 + i)
+            sample = pb.sample_input(rc.problem,
+                                     rc.seed + EVAL_SEED_OFFSET + i)
             est = ev.jacobian_spectral_norm(params, sample.values, y_grid,
                                             tol=opts.power_tol,
                                             max_iter=opts.power_max_iter,
@@ -168,7 +178,8 @@ def cmd_generate_data(args) -> int:
     params = _load_model(args.checkpoint, rc)
     opts = rc.eval_options
     datasets = ev.build_eval_datasets(rc.problem, params, opts.n_samples,
-                                      rc.attack, seed=rc.seed + 1_000_000,
+                                      rc.attack,
+                                      seed=rc.seed + EVAL_SEED_OFFSET,
                                       eval_points=opts.eval_points)
     m = rc.problem.sensor_count
     for name, pairs in (("base", datasets.base),
@@ -213,7 +224,7 @@ def _selftest_checks():
         params = dn.glorot_init(arch, 0)
         f = rng.standard_normal(10)
         coords = np.array([0.3, 0.7])
-        g = dn.forward_grad_f(params, f, coords)
+        g = dn.GridModel(params, coords).vjp(f[None], np.ones((1, 2)))[0]
         h = 1e-5
         worst = 0.0
         for j in range(10):
@@ -281,10 +292,11 @@ def _selftest_checks():
         params = dn.glorot_init(arch, 1)
         f = rng.standard_normal(8)
         grid = np.linspace(0, 1, 7)
-        v = rng.standard_normal(8)
-        w = rng.standard_normal(7)
-        lhs = w @ ev.model_jvp(params, f, grid, v)
-        rhs = ev.model_vjp(params, f, grid, w) @ v
+        v = rng.standard_normal((1, 8))
+        w = rng.standard_normal((1, 7))
+        model = dn.GridModel(params, grid)
+        lhs = np.sum(w * model.jvp(f[None], v))
+        rhs = np.sum(model.vjp(f[None], w) * v)
         return abs(lhs - rhs) < 1e-10
 
     def power_iteration_check():

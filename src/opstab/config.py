@@ -223,6 +223,13 @@ def _from_parser(parser) -> RunConfig:
         attack_model=attack_model,
         plot_samples=_get(parser, "eval", "plot_samples", int, 3),
     )
+    # an empty evaluation would report a perfect score
+    for key, least in (("n_samples", 1), ("spectral_functions", 0),
+                       ("plot_samples", 0)):
+        value = getattr(eval_options, key)
+        if value < least:
+            raise ValidationError(
+                f"[eval] {key} must be at least {least}, got {value}")
 
     mode = _get(parser, "run", "mode", str, "stable")
     if mode not in ("stable", "baseline"):

@@ -15,8 +15,8 @@ is then a single (batch, p) @ (p, points) product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -295,6 +295,23 @@ class GridModel:
         t = t @ self.trunk.u
         return t if self.mask is None else t * self.mask.u
 
+    def vjp(self, f_rows, cotangent_rows):
+        """J^T @ cotangent of rows -> rows (plain arrays), in closed form:
+        g = (cotangent mask) @ trunk^T, then g <- (g (1 - h^2)) W^T back
+        through the branch, in the order a reverse sweep takes."""
+        h, hidden = f_rows, []
+        layers = self.params.branch_layers
+        for w, b in layers[:-1]:
+            h = np.tanh(h @ w + b)
+            hidden.append(h)
+        g = cotangent_rows
+        if self.mask is not None:
+            g = g * self.mask.u
+        g = g @ self.trunk.u.T
+        for (w, _), h in zip(layers[:0:-1], hidden[::-1]):
+            g = (g @ w.T) * (1.0 - h * h)
+        return g @ layers[0][0].T
+
 
 def on_grid(model, coords) -> GridModel:
     """model evaluated on coords: DeepONetParams get a new GridModel, a
@@ -322,21 +339,6 @@ def forward(model, f_samples, coords) -> np.ndarray:
                         f"values, got {rows.shape[1]}")
     u = grid(rows)
     return u[0] if single else u
-
-
-def forward_grad_f(params: DeepONetParams, f_samples, coords,
-                   functional: Callable = None) -> np.ndarray:
-    """Gradient of a scalar functional of the outputs w.r.t. f_samples.
-
-    functional maps the (1, npts) output block to a recorded scalar;
-    defaults to the sum of all outputs.
-    """
-    f = np.asarray(f_samples, dtype=np.float64).reshape(1, -1)
-    tape = ad.Tape()
-    f_var = tape.leaf(f)
-    out = GridModel(params, coords)(f_var)
-    scalar = ad.total(out) if functional is None else functional(out)
-    return ad.grad(scalar, [f_var])[f_var].reshape(-1)
 
 
 # --------------------------------------------------------------------------
@@ -405,12 +407,20 @@ def load_checkpoint(path):
             raise ValueError(f"unrecognized checkpoint format in {path}")
         arch = ArchSpec(tuple(meta["branch_widths"]), tuple(meta["trunk_widths"]),
                         meta["activation"], meta["transform"])
+        bw, tw = arch.branch_widths, arch.trunk_widths
         template = DeepONetParams(
             arch,
-            [(None, None)] * (len(arch.branch_widths) - 1),
-            [(None, None)] * (len(arch.trunk_widths) - 1),
+            [(np.zeros((i, o)), np.zeros((1, o))) for i, o in zip(bw, bw[1:])],
+            [(np.zeros((o, i)), np.zeros((o, 1))) for i, o in zip(tw, tw[1:])],
             np.zeros(()),
         )
-        values = [data[name.replace(".", "_")] for name, _ in param_items(template)]
+        values = []
+        for name, want in param_items(template):
+            block = data[name.replace(".", "_")]
+            if block.shape != want.shape:
+                raise ArchError(f"checkpoint {path}: block {name} has shape "
+                                f"{block.shape}, the architecture needs "
+                                f"{want.shape}")
+            values.append(block)
         params = with_param_values(template, values)
     return params, meta["seed"], meta["step"]

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import deeponet as dn
 from . import problems as pb
 from .attacks import AttackConfig, attack_solution_error, perturbation_norm
@@ -138,38 +137,16 @@ class JacobianEstimate:
     residual: float
 
 
-def model_jvp(model, f: np.ndarray, y_grid, direction: np.ndarray) -> np.ndarray:
-    """J @ direction of f -> u(y_grid); model is DeepONetParams or a
-    dn.GridModel built for y_grid."""
-    return dn.on_grid(model, y_grid).jvp(
-        np.asarray(f, dtype=np.float64)[None, :],
-        np.asarray(direction, dtype=np.float64)[None, :]).ravel()
-
-
-def model_vjp(model, f: np.ndarray, y_grid, covector: np.ndarray) -> np.ndarray:
-    """J^T @ covector of f -> u(y_grid); model as in model_jvp."""
-    tape = ad.Tape()
-    f_var = tape.leaf(np.asarray(f, dtype=np.float64)[None, :])
-    out = dn.on_grid(model, y_grid)(f_var)
-    scalar = ad.total(ad.mul(out, np.asarray(covector, dtype=np.float64)[None, :]))
-    return ad.grad(scalar, [f_var])[f_var].ravel()
-
-
 def jacobian_dense(model, f: np.ndarray, y_grid,
                    max_entries: int = 1_000_000) -> np.ndarray:
-    """Column-by-column Jacobian of f -> u(y_grid); cross-check path."""
+    """Dense Jacobian of f -> u(y_grid), one jvp with identity tangents;
+    cross-check path."""
     f = np.asarray(f, dtype=np.float64)
     y = np.asarray(y_grid)
     n_out = len(y) if y.ndim else 1
     if n_out * f.size > max_entries:
         raise ValueError("dense Jacobian too large; use power iteration")
-    model = dn.on_grid(model, y_grid)
-    cols = []
-    for j in range(f.size):
-        e = np.zeros(f.size)
-        e[j] = 1.0
-        cols.append(model_jvp(model, f, y_grid, e))
-    return np.column_stack(cols)
+    return dn.on_grid(model, y_grid).jvp(f[None, :], np.eye(f.size)).T
 
 
 def jacobian_spectral_norm(params: dn.DeepONetParams, f, y_grid,
@@ -181,20 +158,20 @@ def jacobian_spectral_norm(params: dn.DeepONetParams, f, y_grid,
     model, when given, is params on y_grid (dn.on_grid); callers that
     take several norms of one model pass it to compute the trunk once.
     """
-    f = np.asarray(f, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)[None, :]
     model = dn.on_grid(params if model is None else model, y_grid)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(f.size)
     v /= np.linalg.norm(v)
     estimate = 0.0
     for it in range(1, max_iter + 1):
-        w = model_jvp(model, f, y_grid, v)
+        w = model.jvp(f, v[None, :])[0]
         sigma = float(np.linalg.norm(w))
         residual = abs(sigma - estimate)
         if residual < tol:
             return JacobianEstimate(sigma, it, residual)
         estimate = sigma
-        back = model_vjp(model, f, y_grid, w)
+        back = model.vjp(f, w[None, :])[0]
         norm = np.linalg.norm(back)
         if norm == 0.0:  # zero Jacobian
             return JacobianEstimate(0.0, it, 0.0)

@@ -460,19 +460,6 @@ KINDS = tuple(REGISTRY)
 # loss assembly
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    physics: float
-    bc: float
-    ic: float
-    total: float
-
-    @classmethod
-    def from_terms(cls, physics, bc, ic):
-        physics, bc, ic = float(physics), float(bc), float(ic)
-        return cls(physics, bc, ic, physics + bc + ic)
-
-
 def _transform_enforces(transform: str):
     """Loss components a hard-constraint transform already satisfies."""
     return {
@@ -530,38 +517,6 @@ def loss_graph(problem: ProblemSpec, params, f_rows, colloc: CollocationSet):
     ic = ad.mean(ad.square(blocks["ic"])) if "ic" in blocks else 0.0
     total = ad.add(ad.add(physics, bc), ic)
     return physics, bc, ic, total
-
-
-def _stack_batch(problem: ProblemSpec, batch):
-    """Validate a batch of (FunctionSample, CollocationSet) pairs."""
-    if not batch:
-        raise ProblemError("batch must be nonempty")
-    colloc = batch[0][1]
-    for _, c in batch[1:]:
-        if (not np.array_equal(c.interior, colloc.interior)
-                or not np.array_equal(c.boundary, colloc.boundary)
-                or not np.array_equal(c.initial, colloc.initial)):
-            raise ProblemError("all samples in a batch share one collocation set")
-    rows = np.stack([np.asarray(s.values, dtype=np.float64) for s, _ in batch])
-    if rows.shape[1] != problem.sensor_count:
-        raise ProblemError(
-            f"expected {problem.sensor_count} sensor values, got {rows.shape[1]}")
-    return rows, colloc
-
-
-def assemble_loss(problem: ProblemSpec, params, batch) -> LossBreakdown:
-    """Mean-squared physics/boundary/initial losses for a batch.
-
-    batch: sequence of (FunctionSample, CollocationSet) pairs sharing one
-    collocation layout.
-    """
-    rows, colloc = _stack_batch(problem, batch)
-    for pts in (colloc.interior, colloc.boundary, colloc.initial):
-        _check_domain(pts)
-    physics, bc, ic, _ = loss_graph(problem, params, rows, colloc)
-    return LossBreakdown.from_terms(float(np.asarray(physics)),
-                                    float(np.asarray(bc)),
-                                    float(np.asarray(ic)))
 
 
 def physics_residual(problem: ProblemSpec, network, f_sample, points) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opstab import attacks as atk
 from opstab import autodiff as ad
@@ -10,6 +12,13 @@ from opstab import problems as pb
 def tiny_model(seed=0, m=12, transform="none"):
     arch = dn.ArchSpec((m, 16, 16), (1, 16, 16), transform=transform)
     return dn.glorot_init(arch, seed)
+
+
+def attack_row(params, prob, f, colloc, cfg, seed=0):
+    """The training attack on one input row: (f_tilde, loss per iteration)."""
+    out, losses = atk.attack_physics_loss_batch(params, prob, f[None, :],
+                                                colloc, [cfg], [seed])
+    return out[0], losses[:, 0]
 
 
 class TestConfig:
@@ -79,8 +88,29 @@ class TestProject:
         else:
             assert np.linalg.norm(pa - pb_) <= np.linalg.norm(a - b) + 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["linf", "l2"]), st.floats(0.0, 2.0),
+           st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_idempotent_and_non_expansive_property(self, norm, eps, m, seed):
+        cfg = atk.AttackConfig(epsilon=eps, norm=norm, n_iter=0)
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(m)
+        a = f + 3.0 * rng.standard_normal(m)
+        b = f + 3.0 * rng.standard_normal(m)
+        pa, pb_ = atk.project(a, f, cfg), atk.project(b, f, cfg)
+        assert np.array_equal(atk.project(pa, f, cfg), pa)
+        # f + delta rounds relative to |f|, so the ball holds to that
+        rounding = 8 * np.finfo(np.float64).eps * np.linalg.norm(f)
+        assert (atk.perturbation_norm(pa, f, cfg)
+                <= eps * (1 + 1e-12) + rounding)
+        gap = atk.perturbation_norm(pa, pb_, cfg)
+        assert gap <= atk.perturbation_norm(a, b, cfg) * (1 + 1e-12) + rounding
+
 
 class TestFgsm:
+    """FGSM is the PGD config n_iter = 1, step_alpha = epsilon,
+    warm_start = false: one sign step of the physics-loss gradient."""
+
     def _setup(self):
         prob = pb.default_problem("poisson1d", sensor_count=12,
                                   collocation_counts=(10, 2, 0))
@@ -89,23 +119,30 @@ class TestFgsm:
         f = np.random.default_rng(1).standard_normal(12)
         return prob, params, colloc, f
 
+    @staticmethod
+    def fgsm(params, prob, f, colloc, eps):
+        cfg = atk.AttackConfig(epsilon=eps, step_alpha=eps, n_iter=1,
+                               warm_start=False)
+        return attack_row(params, prob, f, colloc, cfg)[0]
+
     def test_zero_epsilon_identity(self):
         prob, params, colloc, f = self._setup()
-        assert np.array_equal(atk.fgsm(params, prob, f, colloc, 0.0), f)
+        assert np.array_equal(self.fgsm(params, prob, f, colloc, 0.0), f)
 
     def test_linf_bound_holds(self):
         prob, params, colloc, f = self._setup()
-        out = atk.fgsm(params, prob, f, colloc, 0.25)
+        out = self.fgsm(params, prob, f, colloc, 0.25)
         assert np.abs(out - f).max() <= 0.25 + 1e-15
 
     def test_equals_single_step_pgd_without_warm_start(self):
         prob, params, colloc, f = self._setup()
         eps = 0.2
-        fg = atk.fgsm(params, prob, f, colloc, eps)
-        cfg = atk.AttackConfig(epsilon=eps, step_alpha=eps, n_iter=1,
-                               warm_start=False)
-        pgd, _ = atk.attack_physics_loss(params, prob, f, colloc, cfg)
-        assert np.allclose(fg, pgd, rtol=0, atol=1e-15)
+        tape = ad.Tape()
+        f_var = tape.leaf(f[None, :])
+        total = pb.loss_graph(prob, params, f_var, colloc)[3]
+        sign_step = f + eps * np.sign(ad.grad(total, [f_var])[f_var][0])
+        assert np.allclose(self.fgsm(params, prob, f, colloc, eps), sign_step,
+                           rtol=0, atol=1e-15)
 
 
 class TestPhysicsAttack:
@@ -120,38 +157,36 @@ class TestPhysicsAttack:
     def test_zero_epsilon_returns_input_bit_exactly(self):
         prob, params, colloc, f = self._setup()
         cfg = atk.AttackConfig(epsilon=0.0, n_iter=20)
-        out, trace = atk.attack_physics_loss(params, prob, f, colloc, cfg)
+        out, _ = attack_row(params, prob, f, colloc, cfg)
         assert np.array_equal(out, f)
-        assert trace.final_perturbation_norm == 0.0
+        assert atk.perturbation_norm(out, f, cfg) == 0.0
 
     def test_zero_iterations_without_warm_start(self):
         prob, params, colloc, f = self._setup()
         cfg = atk.AttackConfig(epsilon=0.3, n_iter=0, warm_start=False)
-        out, trace = atk.attack_physics_loss(params, prob, f, colloc, cfg)
+        out, losses = attack_row(params, prob, f, colloc, cfg)
         assert np.array_equal(out, f)
-        assert len(trace.loss_per_iter) == 0
+        assert len(losses) == 0
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_ball_constraint_within_tolerance(self, norm):
         prob, params, colloc, f = self._setup()
         cfg = atk.AttackConfig(epsilon=0.2, n_iter=8, norm=norm)
-        out, trace = atk.attack_physics_loss(params, prob, f, colloc, cfg,
-                                             seed=3)
+        out, _ = attack_row(params, prob, f, colloc, cfg, seed=3)
         assert atk.perturbation_norm(out, f, cfg) <= 0.2 + 1e-12
-        assert trace.final_perturbation_norm <= 0.2 + 1e-12
 
     def test_trace_length_matches_iterations(self):
         prob, params, colloc, f = self._setup()
         cfg = atk.AttackConfig(epsilon=0.2, n_iter=7)
-        _, trace = atk.attack_physics_loss(params, prob, f, colloc, cfg)
-        assert len(trace.loss_per_iter) == 7
+        _, losses = attack_row(params, prob, f, colloc, cfg)
+        assert len(losses) == 7
 
     def test_deterministic_given_seed(self):
         prob, params, colloc, f = self._setup()
         cfg = atk.AttackConfig(epsilon=0.2, n_iter=5)
-        a, _ = atk.attack_physics_loss(params, prob, f, colloc, cfg, seed=9)
-        b, _ = atk.attack_physics_loss(params, prob, f, colloc, cfg, seed=9)
-        c, _ = atk.attack_physics_loss(params, prob, f, colloc, cfg, seed=10)
+        a, _ = attack_row(params, prob, f, colloc, cfg, seed=9)
+        b, _ = attack_row(params, prob, f, colloc, cfg, seed=9)
+        c, _ = attack_row(params, prob, f, colloc, cfg, seed=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -163,8 +198,8 @@ class TestPhysicsAttack:
         batched, _ = atk.attack_physics_loss_batch(
             params, prob, rows, colloc, [cfg], seeds=[11, 12, 13])
         for i in range(3):
-            solo, _ = atk.attack_physics_loss(params, prob, rows[i], colloc,
-                                              cfg, seed=11 + i)
+            solo, _ = attack_row(params, prob, rows[i], colloc, cfg,
+                                 seed=11 + i)
             assert np.allclose(batched[i], solo, rtol=0, atol=1e-12)
 
 
@@ -179,16 +214,19 @@ class TestSolutionErrorAttack:
         assert np.array_equal(out, f)
 
     def test_perfect_model_stays_at_zero_loss(self):
-        # model output constant in f and equal to the reference
+        # zero trunk weights: the output is the constant b0 whatever f is,
+        # and equal to the reference
+        params = tiny_model(seed=1, m=8)
+        params = dn.DeepONetParams(
+            params.arch, params.branch_layers,
+            [(np.zeros_like(w), np.zeros_like(b))
+             for w, b in params.trunk_layers], np.array(0.7))
         grid = np.linspace(0, 1, 6)
-        u_true = np.sin(np.pi * grid)
-
-        def perfect(f_var, y):
-            return u_true[None, :]
+        u_true = np.full(6, 0.7)
 
         f = np.random.default_rng(1).standard_normal(8)
         cfg = atk.AttackConfig(epsilon=0.5, n_iter=6)
-        out, trace = atk.attack_solution_error(perfect, f, u_true, grid, cfg)
+        out, trace = atk.attack_solution_error(params, f, u_true, grid, cfg)
         assert trace.loss_per_iter[0] == 0.0
         assert trace.loss_per_iter[-1] == trace.loss_per_iter[0]
 
@@ -222,10 +260,10 @@ class TestAscentOnTrainedModel:
         n = 40
         for i in range(n):
             f = pb.sample_input(prob, 5_000_000 + i)
-            _, trace = atk.attack_physics_loss(params, prob, f.values, colloc,
-                                               cfg, seed=i)
-            final = trace.loss_per_iter[-1]
-            first = trace.loss_per_iter[0]
+            _, losses = attack_row(params, prob, f.values, colloc, cfg,
+                                   seed=i)
+            final = losses[-1]
+            first = losses[0]
             if final >= first:
                 wins += 1
         assert wins >= 0.9 * n

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from opstab import autodiff as ad
 from opstab import cli
 from opstab import deeponet as dn
 from opstab import problems as pb
@@ -119,6 +120,13 @@ class TestConfigParsing:
             parse_config_string(MINIMAL + "\n[train]\nsteps = many\n")
         assert "steps" in str(err.value)
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_samples", 0), ("n_samples", -3), ("spectral_functions", -1),
+        ("plot_samples", -1)])
+    def test_eval_count_out_of_range_names_key(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            parse_config_string(MINIMAL + f"\n[eval]\n{key} = {value}\n")
+
     def test_round_trip_identity(self, tmp_path):
         rc = parse_config_string(SMALL_RUN.format(out="x", mode="stable"))
         path = tmp_path / "echo.ini"
@@ -165,6 +173,23 @@ def write_small_config(tmp_path, mode="stable", name="cfg.ini"):
     path = tmp_path / name
     path.write_text(SMALL_RUN.format(out=out, mode=mode))
     return path, out
+
+
+def write_untrained_checkpoints(path):
+    """Glorot checkpoints of the configured architecture, named baseline
+    and stable, in the config's output directory."""
+    rc = parse_config(path)
+    os.makedirs(rc.output_dir, exist_ok=True)
+    paths = []
+    for seed, name in enumerate(("baseline", "stable")):
+        paths.append(os.path.join(rc.output_dir, f"untrained_{name}.npz"))
+        dn.save_checkpoint(paths[-1], dn.glorot_init(rc.arch, seed), seed, 0)
+    return paths
+
+
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestCliTrain:
@@ -260,6 +285,22 @@ class TestCliEvaluate:
             tracemalloc.stop()
         assert retained < 1_000_000
 
+    def test_evaluation_records_no_tape(self, tmp_path, monkeypatch):
+        # input gradients on the grid are closed-form; the tape is for
+        # training only
+        path, _ = write_small_config(tmp_path)
+        base, stab = write_untrained_checkpoints(path)
+
+        def no_tape():
+            raise AssertionError("evaluation recorded a tape")
+
+        monkeypatch.setattr(ad, "Tape", no_tape)
+        config = ["--config", str(path)]
+        assert cli.main(["evaluate", *config, "--baseline", base,
+                         "--stable", stab]) == 0
+        for command in ("attack", "jacobian", "generate-data"):
+            assert cli.main([command, *config, "--checkpoint", base]) == 0
+
     def test_arch_mismatch_is_validation_error(self, tmp_path):
         path, out = write_small_config(tmp_path)
         cli.main(["train", "--config", str(path)])
@@ -295,14 +336,40 @@ class TestCliOther:
         assert header[:2] == ["f0", "f1"]
         assert header[-3:] == ["kind", "seed", "length_scale"]
 
+    def test_jacobian_scores_the_summary_inputs(self, tmp_path):
+        path, out = write_small_config(tmp_path)
+        path.write_text(path.read_text().replace("spectral_functions = 1",
+                                                 "spectral_functions = 2"))
+        base, stab = write_untrained_checkpoints(path)
+        config = ["--config", str(path)]
+        assert cli.main(["evaluate", *config, "--baseline", base,
+                         "--stable", stab]) == 0
+        assert cli.main(["jacobian", *config, "--checkpoint", stab]) == 0
+        norms = [float(r["spectral_norm"])
+                 for r in read_rows(out / "jacobian_norms.csv")]
+        row, = [r for r in read_rows(out / "summary.csv")
+                if (r["model"], r["dataset"]) == ("stable", "base")]
+        assert len(norms) == 2
+        assert float(np.mean(norms)) == float(row["mean_spectral_norm"])
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_attack_sample_count_below_one_rejected(self, tmp_path, n):
+        path, out = write_small_config(tmp_path)
+        code = cli.main(["attack", "--config", str(path),
+                         "--checkpoint", "unused.npz", "--n-samples", n])
+        assert code == 1
+        assert not (out / "attack_traces.csv").exists()
+
     def test_import_loads_no_scipy(self):
         # scipy.integrate alone takes ~0.4 s to import; only the oracles
-        # that need scipy import it, when they run. numba is not used.
+        # that need scipy import it, when they run. numba is not used,
+        # and the test extra (pytest, hypothesis) is not a runtime need.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import sys, opstab.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('scipy', 'numba')))")
+                "if m.split('.')[0] in "
+                "('scipy', 'numba', 'pytest', 'hypothesis')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"

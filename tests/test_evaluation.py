@@ -89,9 +89,20 @@ class TestJacobian:
         rng = np.random.default_rng(11)
         for _ in range(10):
             v = rng.standard_normal(12)
-            ratio = np.linalg.norm(ev.model_jvp(params, f, grid, v)) \
-                / np.linalg.norm(v)
+            ratio = np.linalg.norm(dn.GridModel(params, grid).jvp(
+                f[None], v[None])) / np.linalg.norm(v)
             assert est.spectral_norm >= ratio - 1e-8
+
+    def test_dense_matches_column_by_column_jvp(self):
+        # one batched jvp sums in another order than m single columns
+        params = tiny_model(seed=3, m=7, latent=9)
+        f = np.random.default_rng(3).standard_normal(7)
+        grid = np.linspace(0, 1, 5)
+        model = dn.GridModel(params, grid)
+        cols = np.column_stack([model.jvp(f[None], e[None])[0]
+                                for e in np.eye(7)])
+        dense = ev.jacobian_dense(params, f, grid)
+        assert np.abs(dense - cols).max() <= 1e-14 * np.abs(cols).max()
 
     def test_dense_guard(self):
         params = tiny_model()

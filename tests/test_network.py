@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opstab import autodiff as ad
 from opstab import deeponet as dn
@@ -135,6 +137,8 @@ class TestGridModel:
             f_var = tape.leaf(rows)
             grads.append(ad.grad(ad.total(ad.square(fn(f_var))), [f_var])[f_var])
         assert np.array_equal(grads[0], grads[1])
+        # the closed-form vjp takes the reverse sweep's steps in its order
+        assert np.array_equal(grid.vjp(rows, 2.0 * grid(rows)), grads[0])
 
     @pytest.mark.parametrize("transform,coords", GRID_CASES)
     def test_jvp_matches_central_differences(self, transform, coords):
@@ -242,12 +246,18 @@ class TestTransforms:
         assert np.abs(dn.forward(params, f, initial)).max() == 0.0
 
 
+def grad_f(params, f, coords):
+    """Gradient of the sum of the outputs on coords w.r.t. the sensors."""
+    grid = dn.GridModel(params, coords)
+    return grid.vjp(np.asarray(f)[None, :], np.ones((1, len(coords))))[0]
+
+
 class TestGradF:
     def test_matches_finite_differences(self):
         params = dn.glorot_init(small_arch(), 8)
         f = np.random.default_rng(2).standard_normal(12)
         coords = np.array([0.25, 0.75])
-        g = dn.forward_grad_f(params, f, coords)
+        g = grad_f(params, f, coords)
         h = 1e-5
         for j in range(12):
             fp, fm = f.copy(), f.copy()
@@ -263,7 +273,7 @@ class TestGradF:
                         for w, b in params.trunk_layers]
         params = dn.DeepONetParams(params.arch, params.branch_layers,
                                    zeroed_trunk, params.output_bias)
-        g = dn.forward_grad_f(params, np.ones(12), np.array([0.5]))
+        g = grad_f(params, np.ones(12), np.array([0.5]))
         assert np.array_equal(g, np.zeros(12))
 
     def test_identity_like_single_latent(self):
@@ -276,8 +286,61 @@ class TestGradF:
         trunk_b = np.array([[1.0]])
         params = dn.DeepONetParams(arch, [(w, np.zeros((1, 1)))],
                                    [(trunk_w, trunk_b)], np.zeros(()))
-        g = dn.forward_grad_f(params, np.ones(3), np.array([0.4]))
+        g = grad_f(params, np.ones(3), np.array([0.4]))
         assert np.allclose(g, w[:, 0], rtol=0, atol=0)
+
+
+@st.composite
+def grid_models(draw):
+    """A random small network on a random grid, with its own rng."""
+    transform = draw(st.sampled_from(dn.TRANSFORMS))
+    dim = 1 if transform == "dirichlet_1d" else (
+        2 if transform != "none" else draw(st.sampled_from((1, 2))))
+    m = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 5))
+    branch = [m] + draw(st.lists(st.integers(1, 5), max_size=2)) + [p]
+    trunk = [dim] + draw(st.lists(st.integers(1, 5), max_size=2)) + [p]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = dn.glorot_init(dn.ArchSpec(branch, trunk, transform=transform),
+                            int(rng.integers(2 ** 31)))
+    # nonzero biases, so every bias enters the products
+    params = dn.with_param_values(params, [
+        a + 0.1 * rng.standard_normal(a.shape)
+        for _, a in dn.param_items(params)])
+    npts = draw(st.integers(1, 6))
+    coords = rng.uniform(0, 1, npts if dim == 1 else (npts, dim))
+    return dn.GridModel(params, coords), rng
+
+
+class TestJvpVjpProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(grid_models(), st.integers(1, 3))
+    def test_adjoint_identity(self, case, batch):
+        # w . (J v) == (J^T w) . v for every row of the batch
+        grid, rng = case
+        m = grid.params.arch.sensor_count
+        rows = rng.standard_normal((batch, m))
+        v = rng.standard_normal((batch, m))
+        w = rng.standard_normal((batch, grid.cols.shape[1]))
+        jv, jtw = grid.jvp(rows, v), grid.vjp(rows, w)
+        lhs, rhs = np.sum(w * jv, axis=1), np.sum(jtw * v, axis=1)
+        scale = (np.linalg.norm(w, axis=1) * np.linalg.norm(jv, axis=1)
+                 + np.linalg.norm(jtw, axis=1) * np.linalg.norm(v, axis=1))
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * (1.0 + scale))
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid_models())
+    def test_vjp_matches_central_differences(self, case):
+        grid, rng = case
+        m = grid.params.arch.sensor_count
+        f = rng.standard_normal((1, m))
+        w = rng.standard_normal((1, grid.cols.shape[1]))
+        h = 1e-6
+        fd = np.array([
+            (np.sum(w * grid(f + h * e)) - np.sum(w * grid(f - h * e)))
+            / (2 * h) for e in np.eye(m)[:, None, :]])
+        g = grid.vjp(f, w)[0]
+        assert np.linalg.norm(g - fd) <= 1e-6 * (1.0 + np.linalg.norm(fd))
 
 
 class TestCheckpoint:
@@ -292,6 +355,17 @@ class TestCheckpoint:
                                     dn.param_items(loaded)):
             assert na == nb
             assert np.array_equal(a, b)
+
+    def test_wrong_block_shape_named(self, tmp_path):
+        params = dn.glorot_init(small_arch(), 1)
+        path = os.path.join(tmp_path, "model.npz")
+        dn.save_checkpoint(path, params, seed=1, step=0)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["branch_0_w"] = arrays["branch_0_w"][:-1]  # 11 sensors, not 12
+        np.savez(path, **arrays)
+        with pytest.raises(dn.ArchError, match=r"branch\.0\.w"):
+            dn.load_checkpoint(path)
 
     def test_bad_format_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bogus.npz")

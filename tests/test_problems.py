@@ -236,58 +236,66 @@ class TestLossesAgainstFiniteDifferences:
             assert got == pytest.approx(want, rel=1e-6)
 
 
+def loss_terms(prob, params, samples, colloc):
+    """loss_graph's (physics, bc, ic, total) on a batch of samples, as
+    floats."""
+    rows = np.stack([s.values for s in samples])
+    return tuple(float(t) for t in pb.loss_graph(prob, params, rows, colloc))
+
+
 class TestAssembleLoss:
+    """loss_graph's terms on plain input rows."""
+
     def test_zero_network_zero_source(self):
         prob = pb.default_problem("poisson1d")
         params = zeroed(dn.glorot_init(pb.default_arch(prob, width=8), 0))
         colloc = pb.make_collocation(prob)
         f = FunctionSample(pb.sensor_grid(prob), np.zeros(100))
-        lb = pb.assemble_loss(prob, params, [(f, colloc)])
-        assert lb == pb.LossBreakdown(0.0, 0.0, 0.0, 0.0)
+        assert loss_terms(prob, params, [f], colloc) == (0.0, 0.0, 0.0, 0.0)
 
     def test_duplicated_batch_mean_semantics(self):
         prob = pb.default_problem("poisson1d")
         params = dn.glorot_init(pb.default_arch(prob, width=16), 1)
         colloc = pb.make_collocation(prob)
         f = pb.sample_input(prob, 5)
-        once = pb.assemble_loss(prob, params, [(f, colloc)])
-        thrice = pb.assemble_loss(prob, params, [(f, colloc)] * 3)
+        once = loss_terms(prob, params, [f], colloc)
+        thrice = loss_terms(prob, params, [f] * 3, colloc)
         # identical in exact arithmetic; float summation order costs ulps
-        assert once.total == pytest.approx(thrice.total, rel=1e-12)
-        assert once.physics == pytest.approx(thrice.physics, rel=1e-12)
-        assert once.bc == pytest.approx(thrice.bc, rel=1e-12, abs=1e-300)
+        assert once[3] == pytest.approx(thrice[3], rel=1e-12)
+        assert once[0] == pytest.approx(thrice[0], rel=1e-12)
+        assert once[1] == pytest.approx(thrice[1], rel=1e-12, abs=1e-300)
 
     def test_total_additivity_bit_exact(self):
         prob = pb.default_problem("heat_ic")
         params = dn.glorot_init(pb.default_arch(prob, width=16), 2)
         colloc = pb.make_collocation(prob)
-        batch = [(pb.sample_input(prob, s), colloc) for s in range(3)]
-        lb = pb.assemble_loss(prob, params, batch)
-        assert lb.total == lb.physics + lb.bc + lb.ic
-        assert lb.physics >= 0 and lb.bc >= 0 and lb.ic >= 0
+        samples = [pb.sample_input(prob, s) for s in range(3)]
+        physics, bc, ic, total = loss_terms(prob, params, samples, colloc)
+        assert total == physics + bc + ic
+        assert physics >= 0 and bc >= 0 and ic >= 0
 
     def test_batch_permutation_invariance(self):
         prob = pb.default_problem("poisson1d")
         params = dn.glorot_init(pb.default_arch(prob, width=16), 3)
         colloc = pb.make_collocation(prob)
-        batch = [(pb.sample_input(prob, s), colloc) for s in range(4)]
-        fwd = pb.assemble_loss(prob, params, batch)
-        rev = pb.assemble_loss(prob, params, batch[::-1])
-        assert fwd.total == pytest.approx(rev.total, rel=1e-12)
+        samples = [pb.sample_input(prob, s) for s in range(4)]
+        fwd = loss_terms(prob, params, samples, colloc)
+        rev = loss_terms(prob, params, samples[::-1], colloc)
+        assert fwd[3] == pytest.approx(rev[3], rel=1e-12)
 
     def test_straight_line_oracle_poisson(self):
         """Independent recomputation from raw forward calls and plain means."""
         prob = pb.default_problem("poisson1d")
         params = dn.glorot_init(pb.default_arch(prob, width=16), 0)
         colloc = pb.make_collocation(prob)
-        batch = [(pb.sample_input(prob, s), colloc) for s in range(2)]
-        lb = pb.assemble_loss(prob, params, batch)
+        samples = [pb.sample_input(prob, s) for s in range(2)]
+        physics, bc, _, _ = loss_terms(prob, params, samples, colloc)
 
         xs = pb.sensor_grid(prob)
         pts = colloc.interior[:, 0]
         h = 1e-4
         sq_res, sq_bc = [], []
-        for sample, _ in batch:
+        for sample in samples:
             f_at = np.interp(pts, xs, sample.values)
             up = dn.forward(params, sample.values, pts + h)
             um = dn.forward(params, sample.values, pts - h)
@@ -296,8 +304,8 @@ class TestAssembleLoss:
             sq_res.append((-uyy - f_at) ** 2)
             ub = dn.forward(params, sample.values, np.array([0.0, 1.0]))
             sq_bc.append(ub ** 2)
-        assert lb.physics == pytest.approx(np.mean(sq_res), rel=1e-5)
-        assert lb.bc == pytest.approx(np.mean(sq_bc), rel=1e-12)
+        assert physics == pytest.approx(np.mean(sq_res), rel=1e-5)
+        assert bc == pytest.approx(np.mean(sq_bc), rel=1e-12)
 
     def test_transform_omits_enforced_components(self):
         prob = pb.default_problem("poisson2d",
@@ -307,24 +315,9 @@ class TestAssembleLoss:
         params = dn.glorot_init(arch, 0)
         colloc = pb.make_collocation(prob)
         f = pb.sample_input(prob, 0)
-        lb = pb.assemble_loss(prob, params, [(f, colloc)])
-        assert lb.bc == 0.0 and lb.ic == 0.0
-        assert lb.physics > 0.0
-
-    def test_mixed_collocation_rejected(self):
-        prob = pb.default_problem("poisson1d")
-        params = dn.glorot_init(pb.default_arch(prob, width=8), 0)
-        c1 = pb.make_collocation(prob)
-        c2 = pb.CollocationSet(c1.interior * 0.5, c1.boundary, c1.initial)
-        f = pb.sample_input(prob, 0)
-        with pytest.raises(pb.ProblemError):
-            pb.assemble_loss(prob, params, [(f, c1), (f, c2)])
-
-    def test_empty_batch_rejected(self):
-        prob = pb.default_problem("poisson1d")
-        params = dn.glorot_init(pb.default_arch(prob, width=8), 0)
-        with pytest.raises(pb.ProblemError):
-            pb.assemble_loss(prob, params, [])
+        physics, bc, ic, _ = loss_terms(prob, params, [f], colloc)
+        assert bc == 0.0 and ic == 0.0
+        assert physics > 0.0
 
 
 class TestCollocation:
