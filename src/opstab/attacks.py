@@ -109,13 +109,16 @@ def _pgd_loop(loss_and_grad: Callable, f_rows: np.ndarray,
     """Shared PGD ascent over a (batch, m) block; per-row budgets.
 
     loss_and_grad maps the current rows to (per-row losses, gradient
-    rows). Every iterate is projected back onto its own epsilon ball.
-    NaN gradient entries step nowhere (logged); a non-finite loss aborts
-    with the iteration index.
+    rows). Every iterate is projected back onto its own epsilon ball:
+    under linf by one clip of the block against per-row bounds, which is
+    the row-wise project exactly. NaN gradient entries step nowhere
+    (logged); a non-finite loss aborts with the iteration index.
     """
     norm = configs[0].norm
     n_iter = configs[0].n_iter
     alphas = np.array([c.step_alpha for c in configs])[:, None]
+    eps = np.array([c.epsilon for c in configs])[:, None]
+    lower, upper = f_rows - eps, f_rows + eps
     current = init_rows.copy()
     losses = np.zeros((n_iter, len(f_rows)))
     for it in range(n_iter):
@@ -128,14 +131,14 @@ def _pgd_loop(loss_and_grad: Callable, f_rows: np.ndarray,
             logger.warning("NaN gradient entries in attack step %d; zeroed", it)
             g = np.nan_to_num(g, nan=0.0)
         if norm == "linf":
-            current = current + alphas * np.sign(g)
+            current = np.clip(current + alphas * np.sign(g), lower, upper)
         else:
             norms = np.linalg.norm(g, axis=1, keepdims=True)
             direction = np.divide(g, norms, out=np.zeros_like(g),
                                   where=norms > 0)
             current = current + alphas * direction
-        for i, cfg in enumerate(configs):
-            current[i] = project(current[i], f_rows[i], cfg)
+            for i, cfg in enumerate(configs):
+                current[i] = project(current[i], f_rows[i], cfg)
     return current, losses
 
 

@@ -146,9 +146,12 @@ def cmd_attack(args) -> int:
 
 def cmd_jacobian(args) -> int:
     rc = _load_config(args.config)
+    opts = rc.eval_options
+    if opts.spectral_functions < 1:
+        raise ValidationError("[eval] spectral_functions must be at least 1 "
+                              f"for jacobian, got {opts.spectral_functions}")
     out = _ensure_outdir(rc)
     params = _load_model(args.checkpoint, rc)
-    opts = rc.eval_options
     y_grid = pb.eval_grid(rc.problem, opts.eval_points)
     model = dn.on_grid(params, y_grid)
     path = os.path.join(out, "jacobian_norms.csv")
@@ -243,13 +246,30 @@ def _selftest_checks():
         f = rng.standard_normal(6)
         point = np.array([[0.3, 0.6]])
         jet = dn.GridModel(params, point, first=(1,), second=(0,)).jet(
-            dn.branch_apply(params, f[None]))
+            dn.fold(params, f[None]))
         h = 1e-4
         u = lambda dx, dt: dn.forward(params, f, point + [[dx, dt]])[0]
         ut = (u(0, h) - u(0, -h)) / (2 * h)
         uxx = (u(h, 0) - 2 * u(0, 0) + u(-h, 0)) / h ** 2
         return (abs(jet.first[1][0, 0] - ut) < 1e-6 * max(abs(ut), 1.0)
                 and abs(jet.second[0][0, 0] - uxx) < 1e-5 * max(abs(uxx), 1.0))
+
+    def folded_merge_check():
+        # the model's fold against u = (b (W_L h + b_L) + b0) mask
+        arch = dn.ArchSpec((6, 10, 10, 10), (2, 10, 10, 10),
+                           transform="zero_ic_dirichlet_bc")
+        base = dn.glorot_init(arch, 4)
+        params = dn.with_param_values(base, [  # nonzero biases too
+            a + 0.1 * rng.standard_normal(a.shape)
+            for _, a in dn.param_items(base)])
+        rows = rng.standard_normal((3, 6))
+        cols = rng.uniform(0, 1, (2, 8))
+        want = ((dn.branch_apply(params, rows)
+                 @ dn.trunk_jet(params.trunk_layers, cols).u
+                 + params.output_bias)
+                * dn.mask_jet(arch.transform, cols).u)
+        got = dn.forward(params, rows, cols.T)
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def poisson_solver_check():
         sol = sv.solve_poisson_1d_fd(lambda x: np.pi ** 2 * np.sin(np.pi * x),
@@ -317,6 +337,7 @@ def _selftest_checks():
     return [
         ("gradient_vs_finite_difference", gradient_check),
         ("trunk_jet_vs_finite_difference", trunk_jet_check),
+        ("folded_merge_vs_unfolded", folded_merge_check),
         ("poisson1d_solver_vs_analytic", poisson_solver_check),
         ("helmholtz_solver_vs_analytic", helmholtz_solver_check),
         ("heat_solver_vs_analytic", heat_solver_check),

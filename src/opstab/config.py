@@ -223,13 +223,18 @@ def _from_parser(parser) -> RunConfig:
         attack_model=attack_model,
         plot_samples=_get(parser, "eval", "plot_samples", int, 3),
     )
-    # an empty evaluation would report a perfect score
+    # an empty evaluation would report a perfect score; eval_points
+    # unset (None) means the kind's default grid
     for key, least in (("n_samples", 1), ("spectral_functions", 0),
-                       ("plot_samples", 0)):
+                       ("plot_samples", 0), ("eval_points", 2),
+                       ("power_max_iter", 1)):
         value = getattr(eval_options, key)
-        if value < least:
+        if value is not None and value < least:
             raise ValidationError(
                 f"[eval] {key} must be at least {least}, got {value}")
+    if not eval_options.power_tol > 0:
+        raise ValidationError(
+            f"[eval] power_tol must be positive, got {eval_options.power_tol}")
 
     mode = _get(parser, "run", "mode", str, "stable")
     if mode not in ("stable", "baseline"):

@@ -6,10 +6,19 @@ product plus a learned scalar bias:
 
     u(y) = sum_k b_k(f) t_k(y) + b0
 
+The trunk's last layer is linear, t = W_L h + b_L on the hidden features
+h, so the merge is evaluated as
+
+    u = (b W_L) h + (b b_L + b0)
+
+with the last layer folded onto the branch side once per input block
+(fold): the per-point work then skips the (p, q) layer entirely. A
+depth-1 trunk folds onto the raw coordinates.
+
 Orientation convention (keeps transposes out of the differentiation
 primitives): branch data flows as rows, (batch, features) @ W(in, out);
 trunk data flows as columns, W(out, in) @ (features, points). The merge
-is then a single (batch, p) @ (p, points) product.
+is then a single (batch, q) @ (q, points) product.
 """
 
 from __future__ import annotations
@@ -131,50 +140,53 @@ def branch_apply(params: DeepONetParams, f_rows):
     return h
 
 
-def trunk_jet(layers, coords_cols, first=(), second=()) -> Jet:
-    """Trunk features on (dim, npts) columns, with their first derivatives
-    along every axis in first or second and their second derivatives
-    along the axes in second, all in one pass.
+def hidden_jet(layers, coords_cols, first=(), second=()) -> Jet:
+    """tanh(W h + b) through every layer in layers, on (dim, npts)
+    coordinate columns, with first derivatives along every axis in first
+    or second and second derivatives along the axes in second, all in
+    one pass. No layers give the coordinates themselves, with unit
+    first and zero second derivatives.
 
-    Closed-form Taylor rules: the first layer has z_a = W e_a and no
-    second-order term; a tanh layer maps h = tanh z, s = 1 - h^2,
-    h_a = z_a s and h_aa = (z_aa - 2 h z_a^2) s; a later linear layer
-    maps z_a = W h_a and z_aa = W h_aa. Written with ad primitives, so it
-    records on the tape when the weights are Vars.
+    Closed-form Taylor rules: the coordinates have h_a = e_a; a layer
+    maps z_a = W h_a and z_aa = W h_aa, and its tanh maps h = tanh z,
+    s = 1 - h^2, h_a = z_a s and h_aa = (z_aa - 2 h z_a^2) s. Written with
+    ad primitives, so it records on the tape when the weights are Vars.
     """
     dim = coords_cols.shape[0]
     axes = sorted(set(first) | set(second))
     if any(not 0 <= a < dim for a in axes):
         raise ArchError(f"derivative axes {axes} out of range for {dim} "
                         "coordinates")
-    h, d1, d2 = coords_cols, {}, {}
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        if i == 0:
-            d1 = {a: ad.matmul(w, np.eye(dim)[:, a:a + 1]) for a in axes}
-        else:
-            d1 = {a: ad.matmul(w, t) for a, t in d1.items()}
-            d2 = {a: ad.matmul(w, t) for a, t in d2.items()}
-        h = ad.add(ad.matmul(w, h), b)
-        if i < last:
-            h = ad.tanh(h)
-            if not axes:
-                continue
-            s = ad.sub(1.0, ad.square(h))
-            if second:
-                minus_2h = ad.mul(-2.0, h)
-            for a in second:
-                curv = ad.mul(minus_2h, ad.square(d1[a]))
-                d2[a] = ad.mul(ad.add(d2[a], curv) if a in d2 else curv, s)
-            d1 = {a: ad.mul(t, s) for a, t in d1.items()}
-    # a single linear layer has no curvature
-    zero = np.zeros((layers[-1][0].shape[0], 1))
+    h, d1, d2 = coords_cols, {a: np.eye(dim)[:, a:a + 1] for a in axes}, {}
+    for w, b in layers:
+        d1 = {a: ad.matmul(w, t) for a, t in d1.items()}
+        d2 = {a: ad.matmul(w, t) for a, t in d2.items()}
+        h = ad.tanh(ad.add(ad.matmul(w, h), b))
+        if not axes:
+            continue
+        s = ad.sub(1.0, ad.square(h))
+        if second:
+            minus_2h = ad.mul(-2.0, h)
+        for a in second:
+            curv = ad.mul(minus_2h, ad.square(d1[a]))
+            d2[a] = ad.mul(ad.add(d2[a], curv) if a in d2 else curv, s)
+        d1 = {a: ad.mul(t, s) for a, t in d1.items()}
+    # the coordinates have no curvature
+    zero = np.zeros((h.shape[0], 1))
     return Jet(h, d1, {a: d2.get(a, zero) for a in second})
 
 
-def trunk_apply(params: DeepONetParams, coords_cols):
-    """Trunk net on (dim, npts) columns -> (p, npts) features."""
-    return trunk_jet(params.trunk_layers, coords_cols).u
+def trunk_jet(layers, coords_cols, first=(), second=()) -> Jet:
+    """Features of the trunk layers on (dim, npts) columns, with their
+    derivatives as in hidden_jet: the hidden jet of all but the last
+    layer, then the last, linear layer applied to each stream. The
+    model's own merge folds that last layer instead (fold, GridModel),
+    which never forms these (p, npts) features."""
+    hidden = hidden_jet(layers[:-1], coords_cols, first, second)
+    w, b = layers[-1]
+    return Jet(ad.add(ad.matmul(w, hidden.u), b),
+               {a: ad.matmul(w, t) for a, t in hidden.first.items()},
+               {a: ad.matmul(w, t) for a, t in hidden.second.items()})
 
 
 # Each mask is a product of one polynomial factor per constrained axis:
@@ -216,17 +228,22 @@ def mask_jet(transform: str, coords_cols, first=(), second=()):
                {a: derivative(a, 2) for a in second})
 
 
-def merge(params: DeepONetParams, branch_out, trunk_out, coords_cols):
-    """Inner-product merge plus bias, then the configured transform."""
-    u = ad.add(ad.matmul(branch_out, trunk_out), params.output_bias)
-    mask = mask_jet(params.arch.transform, coords_cols)
-    return u if mask is None else ad.mul(u, mask.u)
+class Folded(NamedTuple):
+    """The branch features b of an input block folded with the trunk's
+    last layer (W_L, b_L): weights = b W_L, (batch, q), and bias =
+    b b_L + b0, (batch, 1), so u = weights @ h + bias on the trunk's
+    hidden features h, before the mask."""
+
+    weights: object
+    bias: object
 
 
-def apply_net(params: DeepONetParams, f_rows, coords_cols):
-    """Full network on (batch, m) rows and (dim, npts) coordinate columns."""
-    return merge(params, branch_apply(params, f_rows),
-                 trunk_apply(params, coords_cols), coords_cols)
+def fold(params: DeepONetParams, f_rows) -> Folded:
+    """Branch net on (batch, m) rows, folded with the trunk's last layer."""
+    b = branch_apply(params, f_rows)
+    w, bias = params.trunk_layers[-1]
+    return Folded(ad.matmul(b, w),
+                  ad.add(ad.matmul(b, bias), params.output_bias))
 
 
 def _as_coord_cols(coords):
@@ -239,12 +256,13 @@ def _as_coord_cols(coords):
 class GridModel:
     """A model bound to one fixed coordinate set.
 
-    The trunk features and the transform mask depend only on the weights
-    and the coordinates, never on the input function, so they are
-    computed once here, together with their derivatives along the axes
-    given in first and second, and shared by every evaluation on the
-    grid. Calling the object on (batch, m) rows (numpy or tape Vars)
-    gives exactly what apply_net gives on the same coordinates.
+    The trunk's hidden features and the transform mask depend only on
+    the weights and the coordinates, never on the input function, so
+    they are computed once here, together with their derivatives along
+    the axes given in first and second, and shared by every evaluation
+    on the grid. The trunk's last layer is folded onto the branch side
+    (fold). Calling the object on (batch, m) rows (numpy or tape Vars)
+    gives the network's output on the grid.
     """
 
     def __init__(self, params: DeepONetParams, coords, first=(), second=()):
@@ -256,22 +274,23 @@ class GridModel:
         self.params = params
         self.cols = cols
         self.first = tuple(first)
-        self.trunk = trunk_jet(params.trunk_layers, cols, first, second)
+        self.hidden = hidden_jet(params.trunk_layers[:-1], cols, first, second)
         self.mask = mask_jet(params.arch.transform, cols, first, second)
 
     def __call__(self, f_rows):
-        return self.jet(branch_apply(self.params, f_rows)).u
+        return self.jet(fold(self.params, f_rows)).u
 
-    def jet(self, b) -> Jet:
+    def jet(self, folded: Folded) -> Jet:
         """u on the grid and its derivatives along the grid's axes, from
-        the (batch, p) branch features b of the input rows, by the
-        product rule with the mask. first holds every axis that is asked
-        for or that the product rule needs."""
-        trunk, mask = self.trunk, self.mask
-        v = ad.add(ad.matmul(b, trunk.u), self.params.output_bias)
-        v1 = {a: ad.matmul(b, trunk.first[a])
-              for a in (self.first if mask is None else trunk.first)}
-        v2 = {a: ad.matmul(b, t) for a, t in trunk.second.items()}
+        the folded branch features of the input rows, by the product rule
+        with the mask. first holds every axis that is asked for or that
+        the product rule needs."""
+        hidden, mask = self.hidden, self.mask
+        c = folded.weights
+        v = ad.add(ad.matmul(c, hidden.u), folded.bias)
+        v1 = {a: ad.matmul(c, hidden.first[a])
+              for a in (self.first if mask is None else hidden.first)}
+        v2 = {a: ad.matmul(c, t) for a, t in hidden.second.items()}
         if mask is None:
             return Jet(v, v1, v2)
         m, m1, m2 = mask
@@ -283,7 +302,8 @@ class GridModel:
 
     def jvp(self, f_rows, tangent_rows):
         """J @ tangent of rows -> outputs (plain arrays), in closed form:
-        t <- (t W)(1 - h^2) through the branch, then (t @ trunk) mask."""
+        t <- (t W)(1 - h^2) through the branch, then folded,
+        ((t W_L) @ hidden + t b_L) mask."""
         h, t = f_rows, tangent_rows
         last = len(self.params.branch_layers) - 1
         for i, (w, b) in enumerate(self.params.branch_layers):
@@ -292,12 +312,14 @@ class GridModel:
             if i < last:
                 h = np.tanh(h)
                 t = t * (1.0 - h * h)
-        t = t @ self.trunk.u
+        w_last, b_last = self.params.trunk_layers[-1]
+        t = (t @ w_last) @ self.hidden.u + t @ b_last
         return t if self.mask is None else t * self.mask.u
 
     def vjp(self, f_rows, cotangent_rows):
         """J^T @ cotangent of rows -> rows (plain arrays), in closed form:
-        g = (cotangent mask) @ trunk^T, then g <- (g (1 - h^2)) W^T back
+        g = cotangent mask, folded back to g_b = (g @ hidden^T) W_L^T +
+        (sum of g over the points) b_L^T, then g <- (g (1 - h^2)) W^T back
         through the branch, in the order a reverse sweep takes."""
         h, hidden = f_rows, []
         layers = self.params.branch_layers
@@ -307,7 +329,9 @@ class GridModel:
         g = cotangent_rows
         if self.mask is not None:
             g = g * self.mask.u
-        g = g @ self.trunk.u.T
+        w_last, b_last = self.params.trunk_layers[-1]
+        g = (g.sum(axis=1, keepdims=True) @ b_last.T
+             + (g @ self.hidden.u.T) @ w_last.T)
         for (w, _), h in zip(layers[:0:-1], hidden[::-1]):
             g = (g @ w.T) * (1.0 - h * h)
         return g @ layers[0][0].T
@@ -372,8 +396,8 @@ def with_param_values(params: DeepONetParams, values: Sequence) -> DeepONetParam
 def lift_params(tape: ad.Tape, params: DeepONetParams):
     """Record every parameter block as a tape leaf.
 
-    Returns (params-of-Vars usable by apply_net, list of leaf Vars in
-    param_items order).
+    Returns (params-of-Vars usable by fold and GridModel, list of leaf
+    Vars in param_items order).
     """
     leaves = [tape.leaf(a) for _, a in param_items(params)]
     return with_param_values(params, leaves), leaves

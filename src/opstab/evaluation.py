@@ -212,8 +212,9 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
 
     For every model: mean relative-L2 on both datasets, mean Jacobian
     spectral norm over the first `spectral_functions` inputs of each
-    dataset, and quantiles of the empirical perturbation ratio
-    ||G(f_tilde) - G(f)||_2 / ||f_tilde - f||_2 across the sample pairs.
+    dataset (nan when that is none), and quantiles of the empirical
+    perturbation ratio ||G(f_tilde) - G(f)||_2 / ||f_tilde - f||_2 across
+    the sample pairs.
     """
     problem = datasets.problem
     y_grid = datasets.y_grid
@@ -252,7 +253,9 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
                 "model": name,
                 "dataset": dataset_name,
                 "mean_rel_l2": float(np.mean(errors)) if errors else 0.0,
-                "mean_spectral_norm": float(np.mean(norms)) if norms else 0.0,
+                # no norm taken is missing, not a perfectly flat model
+                "mean_spectral_norm": (float(np.mean(norms)) if norms
+                                       else float("nan")),
                 "c_emp_p50": c_p50,
                 "c_emp_p95": c_p95,
             })

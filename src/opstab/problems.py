@@ -473,13 +473,15 @@ def _transform_enforces(transform: str):
 class LossBlocks:
     """The loss blocks of one model on one collocation set.
 
-    Each block's trunk jet and mask depend only on the weights and the
-    points, so they are computed once, when the object is built: as tape
-    Vars when params hold Vars (training), as plain arrays otherwise (an
-    attack reuses them for every iterate). Calling the object on the
-    (batch, m) input rows (numpy or Var) returns the raw mismatch blocks
-    keyed "physics"/"bc"/"ic", each (batch, n). Components a
-    hard-constraint transform already enforces are omitted.
+    Each block's hidden trunk jet and mask depend only on the weights
+    and the points, so they are computed once, when the object is built:
+    as tape Vars when params hold Vars (training), as plain arrays
+    otherwise (an attack reuses them for every iterate). Calling the
+    object on the (batch, m) input rows (numpy or Var) folds the branch
+    features with the trunk's last layer once (dn.fold), shares the fold
+    across the blocks, and returns the raw mismatch blocks keyed
+    "physics"/"bc"/"ic", each (batch, n). Components a hard-constraint
+    transform already enforces are omitted.
     """
 
     def __init__(self, problem: ProblemSpec, params, colloc: CollocationSet):
@@ -499,8 +501,8 @@ class LossBlocks:
                                 colloc.source_matrix(problem, block)))
 
     def __call__(self, f_rows) -> dict:
-        b = dn.branch_apply(self.params, f_rows)
-        return {name: rule.fn(model.jet(b), ad.matmul(f_rows, mat.T),
+        folded = dn.fold(self.params, f_rows)
+        return {name: rule.fn(model.jet(folded), ad.matmul(f_rows, mat.T),
                               self.problem.constants, points)
                 for name, rule, model, points, mat in self.blocks}
 
@@ -541,7 +543,7 @@ def physics_residual(problem: ProblemSpec, network, f_sample, points) -> np.ndar
     rule = problem.entry.residual
     if isinstance(network, dn.DeepONetParams):
         jet = dn.GridModel(network, pts, rule.first, rule.second).jet(
-            dn.branch_apply(network, rows))
+            dn.fold(network, rows))
     else:
         jet = network(pts)
     res = rule.fn(jet, rows @ source_matrix(problem, pts).T,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opstab import autodiff as ad
 from opstab import deeponet as dn
 from opstab import problems as pb
 from opstab import training as tr
@@ -26,6 +27,27 @@ def central_diff(fn, x, h):
         xm[j] -= h
         flat[j] = (fn(xp.reshape(x.shape)) - fn(xm.reshape(x.shape))) / (2 * h)
     return g
+
+
+def unfolded_jet(params, f_rows, cols, first=(), second=()):
+    """The network's jet by the unfolded formula u = b (W_L h + b_L) + b0:
+    the trunk's (p, npts) features formed by dn.trunk_jet, merged with
+    the branch features b, then times the mask by the product rule. The
+    reference for the folded merge; runs on numpy rows and tape Vars."""
+    trunk = dn.trunk_jet(params.trunk_layers, cols, first, second)
+    mask = dn.mask_jet(params.arch.transform, cols, first, second)
+    b = dn.branch_apply(params, f_rows)
+    v = ad.add(ad.matmul(b, trunk.u), params.output_bias)
+    v1 = {a: ad.matmul(b, t) for a, t in trunk.first.items()}
+    v2 = {a: ad.matmul(b, t) for a, t in trunk.second.items()}
+    if mask is None:
+        return dn.Jet(v, v1, v2)
+    m, m1, m2 = mask
+    return dn.Jet(ad.mul(v, m),
+                  {a: ad.add(ad.mul(v1[a], m), ad.mul(v, m1[a])) for a in v1},
+                  {a: ad.add(ad.add(ad.mul(v2[a], m),
+                                    ad.mul(v1[a], 2.0 * m1[a])),
+                             ad.mul(v, m2[a])) for a in v2})
 
 
 FLAGSHIP = {

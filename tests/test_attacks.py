@@ -106,6 +106,28 @@ class TestProject:
         gap = atk.perturbation_norm(pa, pb_, cfg)
         assert gap <= atk.perturbation_norm(a, b, cfg) * (1 + 1e-12) + rounding
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_batched_linf_loop_equals_rowwise_project(self, batch, m, seed):
+        # _pgd_loop clips a linf block at once; per row that is project
+        rng = np.random.default_rng(seed)
+        f = 3.0 * rng.standard_normal((batch, m))
+        configs = [atk.AttackConfig(epsilon=e, step_alpha=a, n_iter=3)
+                   for e, a in rng.uniform(0.0, 1.0, (batch, 2))]
+        grads = rng.standard_normal((3, batch, m))
+        steps = iter(grads)
+
+        def loss_and_grad(rows):
+            return np.zeros(len(rows)), next(steps)
+
+        got, _ = atk._pgd_loop(loss_and_grad, f, configs, f.copy())
+        want = f.copy()
+        for g in grads:
+            for i, cfg in enumerate(configs):
+                want[i] = atk.project(want[i] + cfg.step_alpha * np.sign(g[i]),
+                                      f[i], cfg)
+        assert np.array_equal(got, want)
+
 
 class TestFgsm:
     """FGSM is the PGD config n_iter = 1, step_alpha = epsilon,

@@ -127,6 +127,22 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=key):
             parse_config_string(MINIMAL + f"\n[eval]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("value", [0, 1, -5])
+    def test_eval_points_below_two_rejected(self, value):
+        with pytest.raises(ValidationError, match="eval_points"):
+            parse_config_string(MINIMAL + f"\n[eval]\neval_points = {value}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_nonpositive_power_tol_rejected(self, value):
+        with pytest.raises(ValidationError, match="power_tol"):
+            parse_config_string(MINIMAL + f"\n[eval]\npower_tol = {value}\n")
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_power_max_iter_below_one_rejected(self, value):
+        with pytest.raises(ValidationError, match="power_max_iter"):
+            parse_config_string(
+                MINIMAL + f"\n[eval]\npower_max_iter = {value}\n")
+
     def test_round_trip_identity(self, tmp_path):
         rc = parse_config_string(SMALL_RUN.format(out="x", mode="stable"))
         path = tmp_path / "echo.ini"
@@ -352,6 +368,26 @@ class TestCliOther:
         assert len(norms) == 2
         assert float(np.mean(norms)) == float(row["mean_spectral_norm"])
 
+    def test_summary_without_norms_reads_nan(self, tmp_path):
+        path, out = write_small_config(tmp_path)
+        path.write_text(path.read_text().replace("spectral_functions = 1",
+                                                 "spectral_functions = 0"))
+        base, stab = write_untrained_checkpoints(path)
+        assert cli.main(["evaluate", "--config", str(path),
+                         "--baseline", base, "--stable", stab]) == 0
+        rows = read_rows(out / "summary.csv")
+        assert len(rows) == 4
+        assert all(r["mean_spectral_norm"] == "nan" for r in rows)
+
+    def test_jacobian_without_functions_rejected(self, tmp_path):
+        path, out = write_small_config(tmp_path)
+        path.write_text(path.read_text().replace("spectral_functions = 1",
+                                                 "spectral_functions = 0"))
+        code = cli.main(["jacobian", "--config", str(path),
+                         "--checkpoint", "unused.npz"])
+        assert code == 1
+        assert not (out / "jacobian_norms.csv").exists()
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_attack_sample_count_below_one_rejected(self, tmp_path, n):
         path, out = write_small_config(tmp_path)
@@ -378,4 +414,4 @@ class TestCliOther:
         assert cli.cmd_selftest(None) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 10
+        assert out.count("PASS") == 11

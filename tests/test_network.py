@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from opstab import autodiff as ad
 from opstab import deeponet as dn
 
+from conftest import rel_err, unfolded_jet
+
 
 def small_arch(transform="none", coord_dim=1):
     return dn.ArchSpec((12, 16, 16), (coord_dim, 16, 16), transform=transform)
@@ -93,13 +95,18 @@ class TestForward:
             dn.forward(params, np.ones(12), np.zeros((5, 2)))
 
     def test_branch_linearity_of_raw_merge(self):
+        # doubling the branch's last (linear) layer doubles the branch
+        # features, and the folded merge is linear in them
         params = dn.glorot_init(small_arch(), 4)
-        cols = np.linspace(0, 1, 6)[None, :]
-        branch = dn.branch_apply(params, np.random.default_rng(1)
-                                 .standard_normal((1, 12)))
-        trunk = dn.trunk_apply(params, cols)
-        u1 = dn.merge(params, branch, trunk, cols)
-        u2 = dn.merge(params, 2.0 * branch, trunk, cols)
+        params.output_bias = np.array(0.25)
+        w, b = params.branch_layers[-1]
+        doubled = dn.DeepONetParams(
+            params.arch, params.branch_layers[:-1] + [(2.0 * w, 2.0 * b)],
+            params.trunk_layers, params.output_bias)
+        f = np.random.default_rng(1).standard_normal(12)
+        coords = np.linspace(0, 1, 6)
+        u1 = dn.forward(params, f, coords)
+        u2 = dn.forward(doubled, f, coords)
         bias = float(params.output_bias)
         assert np.allclose(u2 - bias, 2.0 * (u1 - bias), rtol=0, atol=1e-15)
 
@@ -119,26 +126,23 @@ GRID_CASES = [("none", np.linspace(0, 1, 9)),
 
 class TestGridModel:
     @pytest.mark.parametrize("transform,coords", GRID_CASES)
-    def test_equals_apply_net_bit_for_bit(self, transform, coords):
+    def test_folded_paths_agree_bit_for_bit(self, transform, coords):
         arch = small_arch(transform, coord_dim=1 if coords.ndim == 1 else 2)
         params = dn.glorot_init(arch, 3)
         params.output_bias = np.array(0.3)
         rows = np.random.default_rng(1).standard_normal((4, 12))
-        cols = dn._as_coord_cols(coords)
-        want = dn.apply_net(params, rows, cols)
         grid = dn.GridModel(params, coords)
-        assert np.array_equal(grid(rows), want)
+        want = grid(rows)
         assert np.array_equal(dn.forward(params, rows, coords), want)
         assert np.array_equal(dn.forward(grid, rows, coords), want)
+        unfolded = unfolded_jet(params, rows, dn._as_coord_cols(coords)).u
+        assert rel_err(want, unfolded) <= 1e-12
 
-        grads = []
-        for fn in (grid, lambda f: dn.apply_net(params, f, cols)):
-            tape = ad.Tape()
-            f_var = tape.leaf(rows)
-            grads.append(ad.grad(ad.total(ad.square(fn(f_var))), [f_var])[f_var])
-        assert np.array_equal(grads[0], grads[1])
+        tape = ad.Tape()
+        f_var = tape.leaf(rows)
+        grad = ad.grad(ad.total(ad.square(grid(f_var))), [f_var])[f_var]
         # the closed-form vjp takes the reverse sweep's steps in its order
-        assert np.array_equal(grid.vjp(rows, 2.0 * grid(rows)), grads[0])
+        assert np.array_equal(grid.vjp(rows, 2.0 * want), grad)
 
     @pytest.mark.parametrize("transform,coords", GRID_CASES)
     def test_jvp_matches_central_differences(self, transform, coords):
@@ -182,7 +186,7 @@ class TestJet:
         points = rng.uniform(0.1, 0.9, (20, dim))
         axes = tuple(range(dim))
         jet = dn.GridModel(params, points, first=axes, second=axes).jet(
-            dn.branch_apply(params, rows))
+            dn.fold(params, rows))
 
         def u(shift):
             return dn.forward(params, rows, points + shift)
@@ -197,18 +201,19 @@ class TestJet:
 
     def test_single_layer_trunk_is_linear_in_coordinates(self):
         params = dn.glorot_init(dn.ArchSpec((12, 16), (1, 16)), 5)
-        b = dn.branch_apply(params, np.ones((2, 12)))
+        rows = np.ones((2, 12))
         jet = dn.GridModel(params, np.linspace(0, 1, 5), first=(0,),
-                           second=(0,)).jet(b)
+                           second=(0,)).jet(dn.fold(params, rows))
         w = params.trunk_layers[0][0]
-        assert np.array_equal(jet.first[0], b @ w)
+        # the single layer folds onto the raw coordinates
+        assert np.array_equal(jet.first[0], dn.branch_apply(params, rows) @ w)
         assert np.array_equal(jet.second[0], np.zeros((2, 1)))
 
     def test_only_requested_axes_without_mask(self):
         params = dn.glorot_init(small_arch(coord_dim=2), 5)
         grid = dn.GridModel(params, np.full((4, 2), 0.5), first=(1,),
                             second=(0,))
-        jet = grid.jet(dn.branch_apply(params, np.ones((1, 12))))
+        jet = grid.jet(dn.fold(params, np.ones((1, 12))))
         assert set(jet.first) == {1} and set(jet.second) == {0}
 
 
@@ -291,15 +296,18 @@ class TestGradF:
 
 
 @st.composite
-def grid_models(draw):
-    """A random small network on a random grid, with its own rng."""
+def small_networks(draw, trunk_depths=(1, 2, 3)):
+    """A random small network with nonzero biases and random coordinates
+    for it, with its own rng."""
     transform = draw(st.sampled_from(dn.TRANSFORMS))
     dim = 1 if transform == "dirichlet_1d" else (
         2 if transform != "none" else draw(st.sampled_from((1, 2))))
     m = draw(st.integers(1, 6))
     p = draw(st.integers(1, 5))
     branch = [m] + draw(st.lists(st.integers(1, 5), max_size=2)) + [p]
-    trunk = [dim] + draw(st.lists(st.integers(1, 5), max_size=2)) + [p]
+    depth = draw(st.sampled_from(trunk_depths))
+    trunk = [dim] + draw(st.lists(st.integers(1, 5), min_size=depth - 1,
+                                  max_size=depth - 1)) + [p]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     params = dn.glorot_init(dn.ArchSpec(branch, trunk, transform=transform),
                             int(rng.integers(2 ** 31)))
@@ -309,7 +317,54 @@ def grid_models(draw):
         for _, a in dn.param_items(params)])
     npts = draw(st.integers(1, 6))
     coords = rng.uniform(0, 1, npts if dim == 1 else (npts, dim))
-    return dn.GridModel(params, coords), rng
+    return params, coords, rng
+
+
+def grid_models():
+    """A random small network on a random grid, with its own rng."""
+    return small_networks().map(
+        lambda case: (dn.GridModel(case[0], case[1]), case[2]))
+
+
+def unfolded_jacobian(params, rows, cols):
+    """d u[r, j] / d rows[r] of the unfolded formula, (batch, npts, m),
+    by one reverse sweep per point (the rows are decoupled)."""
+    columns = []
+    for e in np.eye(cols.shape[1]):
+        tape = ad.Tape()
+        f_var = tape.leaf(rows)
+        u = unfolded_jet(params, f_var, cols).u
+        columns.append(ad.grad(ad.total(ad.mul(u, e)), [f_var])[f_var])
+    return np.stack(columns, axis=1)
+
+
+class TestFoldProperties:
+    """The folded merge against the unfolded u = b (W_L h + b_L) + b0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_networks(trunk_depths=(1, 3)), st.integers(1, 3))
+    def test_matches_unfolded_formula(self, case, batch):
+        params, coords, rng = case
+        arch = params.arch
+        axes = tuple(range(arch.coord_dim))
+        rows = rng.standard_normal((batch, arch.sensor_count))
+        grid = dn.GridModel(params, coords, first=axes, second=axes)
+        cols = grid.cols
+        got = grid.jet(dn.fold(params, rows))
+        want = unfolded_jet(params, rows, cols, axes, axes)
+        assert rel_err(got.u, want.u) <= 1e-12
+        for a in axes:
+            assert rel_err(got.first[a], want.first[a]) <= 1e-12
+            assert rel_err(got.second[a], want.second[a]) <= 1e-12
+        assert rel_err(grid(rows), want.u) <= 1e-12
+
+        jac = unfolded_jacobian(params, rows, cols)
+        v = rng.standard_normal(rows.shape)
+        w = rng.standard_normal((batch, cols.shape[1]))
+        assert rel_err(grid.jvp(rows, v),
+                       np.einsum("bjm,bm->bj", jac, v)) <= 1e-12
+        assert rel_err(grid.vjp(rows, w),
+                       np.einsum("bjm,bj->bm", jac, w)) <= 1e-12
 
 
 class TestJvpVjpProperties:

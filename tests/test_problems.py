@@ -6,6 +6,8 @@ from opstab import deeponet as dn
 from opstab import problems as pb
 from opstab.sampling import FunctionSample
 
+from conftest import rel_err, unfolded_jet
+
 
 def zeroed(params):
     return dn.with_param_values(
@@ -178,9 +180,10 @@ def small_problem(kind):
     return pb.default_problem(kind)
 
 
-def perturbed_params(prob, seed):
+def perturbed_params(prob, seed, depth=3, transform=None):
     """A width-8 net with every block (biases too) away from zero."""
-    params = dn.glorot_init(pb.default_arch(prob, width=8), seed)
+    params = dn.glorot_init(pb.default_arch(prob, width=8, depth=depth,
+                                            transform=transform), seed)
     rng = np.random.default_rng(seed)
     return dn.with_param_values(params, [
         a + 0.1 * rng.standard_normal(a.shape)
@@ -234,6 +237,52 @@ class TestLossesAgainstFiniteDifferences:
             got = sum(np.sum(grads[leaf] * d)
                       for leaf, d in zip(leaves, direction))
             assert got == pytest.approx(want, rel=1e-6)
+
+
+KIND_TRANSFORMS = [(kind, t) for kind in pb.KINDS
+                   for t in pb.REGISTRY[kind].transforms]
+
+
+def unfolded_total(prob, params, rows, colloc):
+    """The loss total with every block's jet from the unfolded formula."""
+    total = 0.0
+    for _, rule, model, points, mat in pb.LossBlocks(prob, params,
+                                                     colloc).blocks:
+        jet = unfolded_jet(params, rows, model.cols, rule.first, rule.second)
+        block = rule.fn(jet, ad.matmul(rows, mat.T), prob.constants, points)
+        total = ad.add(total, ad.mean(ad.square(block)))
+    return total
+
+
+class TestLossBlocks:
+    def test_folds_once_per_call(self, monkeypatch):
+        prob = pb.default_problem("heat_source")
+        params = dn.glorot_init(pb.default_arch(prob, width=8), 0)
+        blocks = pb.LossBlocks(prob, params, pb.make_collocation(prob))
+        calls = []
+        fold = dn.fold
+        monkeypatch.setattr(dn, "fold",
+                            lambda *args: calls.append(args) or fold(*args))
+        rows = np.stack([s.values for s in pb.sample_batch(prob, 0, 2)])
+        assert set(blocks(rows)) == {"physics", "bc", "ic"}
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("depth", (1, 3))
+    @pytest.mark.parametrize("kind,transform", KIND_TRANSFORMS)
+    def test_loss_and_gradients_match_unfolded(self, kind, transform, depth):
+        prob = small_problem(kind)
+        params = perturbed_params(prob, 5, depth, transform)
+        colloc = pb.make_collocation(prob)
+        rows = np.stack([s.values for s in pb.sample_batch(prob, 6, 3)])
+        grads = []
+        for loss in (lambda p: pb.loss_graph(prob, p, rows, colloc)[3],
+                     lambda p: unfolded_total(prob, p, rows, colloc)):
+            tape = ad.Tape()
+            lifted, leaves = dn.lift_params(tape, params)
+            total = loss(lifted)
+            grads.append([total.value] + list(ad.grad(total, leaves).values()))
+        for got, want in zip(*grads):
+            assert rel_err(got, want) <= 1e-12
 
 
 def loss_terms(prob, params, samples, colloc):
