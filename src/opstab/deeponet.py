@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -121,12 +122,12 @@ def glorot_init(arch: ArchSpec, seed: int) -> DeepONetParams:
 # --------------------------------------------------------------------------
 
 class Jet(NamedTuple):
-    """A value with its exact derivatives along coordinate axes:
-    first[a] = d/dy_a and second[a] = d^2/dy_a^2."""
+    """A value with its exact coordinate derivatives: first[a] = d/dy_a,
+    and lap = the sum of d^2/dy_a^2 over the Laplacian's axes, or None."""
 
     u: object
     first: dict
-    second: dict
+    lap: object
 
 
 def branch_apply(params: DeepONetParams, f_rows):
@@ -140,53 +141,41 @@ def branch_apply(params: DeepONetParams, f_rows):
     return h
 
 
-def hidden_jet(layers, coords_cols, first=(), second=()) -> Jet:
+def hidden_jet(layers, coords_cols, first=(), laplacian=()) -> Jet:
     """tanh(W h + b) through every layer in layers, on (dim, npts)
     coordinate columns, with first derivatives along every axis in first
-    or second and second derivatives along the axes in second, all in
+    or laplacian and the Laplacian over the axes in laplacian, all in
     one pass. No layers give the coordinates themselves, with unit
-    first and zero second derivatives.
+    first derivatives and zero Laplacian.
 
-    Closed-form Taylor rules: the coordinates have h_a = e_a; a layer
-    maps z_a = W h_a and z_aa = W h_aa, and its tanh maps h = tanh z,
-    s = 1 - h^2, h_a = z_a s and h_aa = (z_aa - 2 h z_a^2) s. Written with
-    ad primitives, so it records on the tape when the weights are Vars.
+    Closed-form Taylor rules (the forward Laplacian): the coordinates
+    have h_a = e_a; a layer maps z_a = W h_a and z_lap = W h_lap, and its
+    tanh maps h = tanh z, s = 1 - h^2, h_a = z_a s and
+    h_lap = (z_lap - 2 h sum_a z_a^2) s. Written with ad primitives, so
+    it records on the tape when the weights are Vars.
     """
     dim = coords_cols.shape[0]
-    axes = sorted(set(first) | set(second))
+    axes = sorted(set(first) | set(laplacian))
     if any(not 0 <= a < dim for a in axes):
         raise ArchError(f"derivative axes {axes} out of range for {dim} "
                         "coordinates")
-    h, d1, d2 = coords_cols, {a: np.eye(dim)[:, a:a + 1] for a in axes}, {}
+    h, d1, lap = coords_cols, {a: np.eye(dim)[:, a:a + 1] for a in axes}, None
     for w, b in layers:
         d1 = {a: ad.matmul(w, t) for a, t in d1.items()}
-        d2 = {a: ad.matmul(w, t) for a, t in d2.items()}
+        lap = None if lap is None else ad.matmul(w, lap)
         h = ad.tanh(ad.add(ad.matmul(w, h), b))
         if not axes:
             continue
         s = ad.sub(1.0, ad.square(h))
-        if second:
+        if laplacian:
             minus_2h = ad.mul(-2.0, h)
-        for a in second:
-            curv = ad.mul(minus_2h, ad.square(d1[a]))
-            d2[a] = ad.mul(ad.add(d2[a], curv) if a in d2 else curv, s)
+            curv = ad.mul(minus_2h, reduce(
+                ad.add, (ad.square(d1[a]) for a in laplacian)))
+            lap = ad.mul(curv if lap is None else ad.add(lap, curv), s)
         d1 = {a: ad.mul(t, s) for a, t in d1.items()}
-    # the coordinates have no curvature
-    zero = np.zeros((h.shape[0], 1))
-    return Jet(h, d1, {a: d2.get(a, zero) for a in second})
-
-
-def trunk_jet(layers, coords_cols, first=(), second=()) -> Jet:
-    """Features of the trunk layers on (dim, npts) columns, with their
-    derivatives as in hidden_jet: the hidden jet of all but the last
-    layer, then the last, linear layer applied to each stream. The
-    model's own merge folds that last layer instead (fold, GridModel),
-    which never forms these (p, npts) features."""
-    hidden = hidden_jet(layers[:-1], coords_cols, first, second)
-    w, b = layers[-1]
-    return Jet(ad.add(ad.matmul(w, hidden.u), b),
-               {a: ad.matmul(w, t) for a, t in hidden.first.items()},
-               {a: ad.matmul(w, t) for a, t in hidden.second.items()})
+    if laplacian and lap is None:  # the coordinates have no curvature
+        lap = np.zeros((h.shape[0], 1))
+    return Jet(h, d1, lap)
 
 
 # Each mask is a product of one polynomial factor per constrained axis:
@@ -206,9 +195,10 @@ def _mask_factor(kind, y, order):
     return (y, np.ones_like(y), np.zeros_like(y))[order]
 
 
-def mask_jet(transform: str, coords_cols, first=(), second=()):
+def mask_jet(transform: str, coords_cols, first=(), laplacian=()):
     """The transform's smooth mask on (dim, npts) columns with its
-    closed-form derivatives along the given axes (a Jet of arrays), or
+    closed-form first derivatives along the axes in first or laplacian
+    and its Laplacian over the axes in laplacian (a Jet of arrays), or
     None when the transform constrains nothing."""
     factors = _MASK_FACTORS[transform]
     if not factors:
@@ -223,9 +213,9 @@ def mask_jet(transform: str, coords_cols, first=(), second=()):
             out = f if out is None else out * f
         return out
 
-    axes = sorted(set(first) | set(second))
-    return Jet(derivative(), {a: derivative(a, 1) for a in axes},
-               {a: derivative(a, 2) for a in second})
+    axes = sorted(set(first) | set(laplacian))
+    lap = sum(derivative(a, 2) for a in laplacian) if laplacian else None
+    return Jet(derivative(), {a: derivative(a, 1) for a in axes}, lap)
 
 
 class Folded(NamedTuple):
@@ -258,14 +248,15 @@ class GridModel:
 
     The trunk's hidden features and the transform mask depend only on
     the weights and the coordinates, never on the input function, so
-    they are computed once here, together with their derivatives along
-    the axes given in first and second, and shared by every evaluation
-    on the grid. The trunk's last layer is folded onto the branch side
-    (fold). Calling the object on (batch, m) rows (numpy or tape Vars)
-    gives the network's output on the grid.
+    they are computed once here, with first derivatives along the axes
+    in first and the Laplacian over those in laplacian, and shared by
+    every evaluation on the grid. The trunk's last layer is folded onto
+    the branch side (fold). Calling the object on (batch, m) rows (numpy
+    or tape Vars) gives the network's output on the grid.
     """
 
-    def __init__(self, params: DeepONetParams, coords, first=(), second=()):
+    def __init__(self, params: DeepONetParams, coords, first=(),
+                 laplacian=()):
         cols = _as_coord_cols(coords)
         if cols.shape[0] != params.arch.coord_dim:
             raise ArchError(
@@ -274,31 +265,35 @@ class GridModel:
         self.params = params
         self.cols = cols
         self.first = tuple(first)
-        self.hidden = hidden_jet(params.trunk_layers[:-1], cols, first, second)
-        self.mask = mask_jet(params.arch.transform, cols, first, second)
+        self.laplacian = tuple(laplacian)
+        self.hidden = hidden_jet(params.trunk_layers[:-1], cols, first,
+                                 laplacian)
+        self.mask = mask_jet(params.arch.transform, cols, first, laplacian)
 
     def __call__(self, f_rows):
         return self.jet(fold(self.params, f_rows)).u
 
     def jet(self, folded: Folded) -> Jet:
-        """u on the grid and its derivatives along the grid's axes, from
-        the folded branch features of the input rows, by the product rule
-        with the mask. first holds every axis that is asked for or that
-        the product rule needs."""
+        """u on the grid with its first derivatives and Laplacian, from the
+        folded branch features of the input rows. A mask's product rule
+        lap(v m) = lap(v) m + 2 sum_a v_a m_a + v lap(m) also reads v's
+        first derivatives along the Laplacian's axes."""
         hidden, mask = self.hidden, self.mask
         c = folded.weights
         v = ad.add(ad.matmul(c, hidden.u), folded.bias)
         v1 = {a: ad.matmul(c, hidden.first[a])
               for a in (self.first if mask is None else hidden.first)}
-        v2 = {a: ad.matmul(c, t) for a, t in hidden.second.items()}
+        v_lap = None if hidden.lap is None else ad.matmul(c, hidden.lap)
         if mask is None:
-            return Jet(v, v1, v2)
-        m, m1, m2 = mask
-        return Jet(ad.mul(v, m),
-                   {a: ad.add(ad.mul(v1[a], m), ad.mul(v, m1[a])) for a in v1},
-                   {a: ad.add(ad.add(ad.mul(v2[a], m),
-                                     ad.mul(v1[a], 2.0 * m1[a])),
-                              ad.mul(v, m2[a])) for a in v2})
+            return Jet(v, v1, v_lap)
+        m, m1, m_lap = mask
+        u = ad.mul(v, m)
+        first = {a: ad.add(ad.mul(v1[a], m), ad.mul(v, m1[a]))
+                 for a in self.first}
+        return Jet(u, first, None if v_lap is None else reduce(ad.add, (
+            [ad.mul(v_lap, m)]
+            + [ad.mul(v1[a], 2.0 * m1[a]) for a in self.laplacian]
+            + [ad.mul(v, m_lap)])))
 
     def jvp(self, f_rows, tangent_rows):
         """J @ tangent of rows -> outputs (plain arrays), in closed form:

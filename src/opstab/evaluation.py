@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -85,7 +85,6 @@ class EvalDatasets:
     y_grid: np.ndarray
     base: List[EvalPair]
     robustness: List[EvalPair]
-    generation_meta: dict = field(default_factory=dict)
 
 
 def build_eval_datasets(problem: pb.ProblemSpec, params: dn.DeepONetParams,
@@ -120,10 +119,7 @@ def build_eval_datasets(problem: pb.ProblemSpec, params: dn.DeepONetParams,
                                            coeffs=None))
         u_tilde = reference_solution(problem, tilde_sample, y_grid, resolution)
         robustness.append(EvalPair(tilde_sample, u_tilde))
-    return EvalDatasets(problem, y_grid, base, robustness, {
-        "n_samples": n_samples, "seed": seed,
-        "attack": attack, "resolution": resolution,
-    })
+    return EvalDatasets(problem, y_grid, base, robustness)
 
 
 # --------------------------------------------------------------------------
@@ -238,8 +234,9 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
             delta_in = np.linalg.norm(rec.f_tilde - rec.f)
             if delta_in > 0:
                 ratios.append(np.linalg.norm(pred_rob - pred_base) / delta_in)
-        c_p50 = float(np.median(ratios)) if ratios else 0.0
-        c_p95 = float(np.percentile(ratios, 95)) if ratios else 0.0
+        # no perturbed pair: the ratio is missing, not a perfectly stable one
+        c_p50 = float(np.median(ratios)) if ratios else float("nan")
+        c_p95 = float(np.percentile(ratios, 95)) if ratios else float("nan")
         for dataset_name, pairs in (("base", datasets.base),
                                     ("robustness", datasets.robustness)):
             errors = [rec.rel_l2[(name, dataset_name)] for rec in records]

@@ -282,34 +282,30 @@ class Rule:
     """One mismatch block: fn(jet, source, constants, points) -> (batch, n).
 
     jet is the prediction's dn.Jet on points, carrying first derivatives
-    along the axes in first and second derivatives along the axes in
-    second; source is the input function interpolated onto points.
+    along the axes in first and the Laplacian over the axes in laplacian;
+    source is the input function interpolated onto points.
     """
 
     fn: Callable
     first: tuple = ()
-    second: tuple = ()
+    laplacian: tuple = ()
 
 
 def _antiderivative_residual(jet, source, c, points):
     return ad.sub(jet.first[0], source)
 
 
-def _poisson1d_residual(jet, source, c, points):
-    return ad.sub(ad.neg(jet.second[0]), source)
-
-
-def _poisson2d_residual(jet, source, c, points):
-    return ad.sub(ad.neg(ad.add(jet.second[0], jet.second[1])), source)
+def _poisson_residual(jet, source, c, points):
+    return ad.sub(ad.neg(jet.lap), source)
 
 
 def _helmholtz_residual(jet, source, c, points):
-    return ad.sub(ad.add(ad.neg(jet.second[0]), ad.mul(c["shift"], jet.u)),
+    return ad.sub(ad.add(ad.neg(jet.lap), ad.mul(c["shift"], jet.u)),
                   source)
 
 
 def _heat_ic_residual(jet, source, c, points):
-    return ad.sub(jet.first[1], ad.mul(c["alpha"], jet.second[0]))
+    return ad.sub(jet.first[1], ad.mul(c["alpha"], jet.lap))
 
 
 def _heat_source_residual(jet, source, c, points):
@@ -317,13 +313,13 @@ def _heat_source_residual(jet, source, c, points):
 
 
 def _diffrec_source_residual(jet, source, c, points):
-    diffusion = ad.sub(jet.first[1], ad.mul(c["diffusion"], jet.second[0]))
+    diffusion = ad.sub(jet.first[1], ad.mul(c["diffusion"], jet.lap))
     react = ad.mul(c["reaction"], ad.square(jet.u))
     return ad.sub(ad.sub(diffusion, react), source)
 
 
 def _diffrec_coeff_residual(jet, source, c, points):
-    diffusion = ad.sub(jet.first[1], ad.mul(c["diffusion"], jet.second[0]))
+    diffusion = ad.sub(jet.first[1], ad.mul(c["diffusion"], jet.lap))
     react = ad.mul(source, ad.square(jet.u))
     return ad.sub(ad.add(diffusion, react), np.sin(np.pi * points[:, 0]))
 
@@ -404,19 +400,19 @@ REGISTRY = {entry.name: entry for entry in (
     Kind("poisson1d", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("poly3"), constants={},
          transforms=("none", "dirichlet_1d"), coord_dim=1, eval_n=100,
-         residual=Rule(_poisson1d_residual, second=(0,)),
+         residual=Rule(_poisson_residual, laplacian=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_poisson_1d_fd(sample, n).eval_at(points)),
     Kind("poisson2d", sensor_count=100, collocation_counts=(10000, 0, 0),
          sampler=SamplerSpec("bitrig", modes=10), constants={},
          transforms=("dirichlet_2d_space", "none"), coord_dim=2, eval_n=100,
-         residual=Rule(_poisson2d_residual, second=(0, 1)),
+         residual=Rule(_poisson_residual, laplacian=(0, 1)),
          reference=_poisson2d_reference,
          sensors=_interior_tensor_sensors),
     Kind("helmholtz_neumann", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"shift": 2.0}, transforms=("none",), coord_dim=1,
-         eval_n=100, residual=Rule(_helmholtz_residual, second=(0,)),
+         eval_n=100, residual=Rule(_helmholtz_residual, laplacian=(0,)),
          boundary=_NEUMANN,
          reference=lambda problem, sample, points, n:
              sv.solve_helmholtz_neumann_fd(
@@ -424,20 +420,20 @@ REGISTRY = {entry.name: entry for entry in (
     Kind("heat_ic", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=1.0),
          constants={"alpha": 0.01}, transforms=("none",),
-         residual=Rule(_heat_ic_residual, first=(1,), second=(0,)),
+         residual=Rule(_heat_ic_residual, first=(1,), laplacian=(0,)),
          initial=_EQUALS_INPUT,
          reference=_heat_reference),
     Kind("heat_source", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"alpha": 0.01},
          transforms=("none", "zero_ic_dirichlet_bc"),
-         residual=Rule(_heat_source_residual, first=(1,), second=(0,)),
+         residual=Rule(_heat_source_residual, first=(1,), laplacian=(0,)),
          reference=_heat_reference),
     Kind("diffrec_source", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"diffusion": 0.01, "reaction": 0.01},
          transforms=("none", "zero_ic_dirichlet_bc"),
-         residual=Rule(_diffrec_source_residual, first=(1,), second=(0,)),
+         residual=Rule(_diffrec_source_residual, first=(1,), laplacian=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_diffusion_reaction(
                  sample, "source", problem.constants["diffusion"],
@@ -446,7 +442,7 @@ REGISTRY = {entry.name: entry for entry in (
          sampler=SamplerSpec("grf", length_scale=1.4, rescale=(1.0, 5.0)),
          constants={"diffusion": 0.01},
          transforms=("none", "zero_ic_dirichlet_bc"),
-         residual=Rule(_diffrec_coeff_residual, first=(1,), second=(0,)),
+         residual=Rule(_diffrec_coeff_residual, first=(1,), laplacian=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_diffusion_reaction(
                  sample, "coefficient", problem.constants["diffusion"], 0.0,
@@ -496,7 +492,7 @@ class LossBlocks:
             points = getattr(colloc, block)
             if name != "physics" and (not len(points) or name in enforced):
                 continue
-            model = dn.GridModel(params, points, rule.first, rule.second)
+            model = dn.GridModel(params, points, rule.first, rule.laplacian)
             self.blocks.append((name, rule, model, points,
                                 colloc.source_matrix(problem, block)))
 
@@ -542,7 +538,7 @@ def physics_residual(problem: ProblemSpec, network, f_sample, points) -> np.ndar
     rows = values[None, :]
     rule = problem.entry.residual
     if isinstance(network, dn.DeepONetParams):
-        jet = dn.GridModel(network, pts, rule.first, rule.second).jet(
+        jet = dn.GridModel(network, pts, rule.first, rule.laplacian).jet(
             dn.fold(network, rows))
     else:
         jet = network(pts)

@@ -9,7 +9,7 @@ diffusion-reaction equation. All are deterministic in their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -35,12 +35,11 @@ class GridSolution:
 
     grid is a (n,) coordinate vector for 1-d problems, or an
     (x_axis, t_axis) pair for space-time problems (values then has shape
-    (nt, nx)). solver_meta records the method and resolution.
+    (nt, nx)).
     """
 
     grid: Union[np.ndarray, tuple]
     values: np.ndarray
-    solver_meta: dict = field(default_factory=dict)
 
     def eval_at(self, points) -> np.ndarray:
         """Piecewise-(bi)linear interpolation onto arbitrary points."""
@@ -76,7 +75,6 @@ def _as_callable(f) -> Callable:
     if isinstance(f, FunctionSample):
         xs, vals = f.sensor_xs, f.values
         return lambda x: np.interp(x, xs, vals)
-    f = np.asarray(f)
     raise TypeError("expected FunctionSample or callable forcing")
 
 
@@ -99,9 +97,7 @@ def solve_ode_rk45(f, output_grid, atol: float = 1e-8, rtol: float = 1e-8,
                     first_step=first_step)
     if not sol.success:
         raise SolverError(f"RK45 failed: {sol.message}")
-    return GridSolution(grid, sol.y[0], {
-        "method": "rk45", "atol": atol, "rtol": rtol, "order": 5,
-    })
+    return GridSolution(grid, sol.y[0])
 
 
 def _sample_on_grid(f, grid):
@@ -139,7 +135,7 @@ def solve_poisson_1d_fd(f, n_grid: int) -> GridSolution:
     diag = np.full(ni, 2.0)
     u = np.zeros(n_grid)
     u[1:-1] = _tridiagonal_solver(lower, diag, upper)(rhs)
-    return GridSolution(x, u, {"method": "fd2", "n": n_grid, "order": 2})
+    return GridSolution(x, u)
 
 
 def solve_helmholtz_neumann_fd(f, n_grid: int, shift: float = 2.0) -> GridSolution:
@@ -160,8 +156,7 @@ def solve_helmholtz_neumann_fd(f, n_grid: int, shift: float = 2.0) -> GridSoluti
     lower[-1] = -2.0 * inv_h2
     rhs = _sample_on_grid(f, x)
     u = _tridiagonal_solver(lower, diag, upper)(rhs)
-    return GridSolution(x, u, {"method": "fd2-ghost", "n": n_grid, "order": 2,
-                               "shift": shift})
+    return GridSolution(x, u)
 
 
 def solve_poisson_2d_analytic(coeffs, grid) -> GridSolution:
@@ -176,9 +171,7 @@ def solve_poisson_2d_analytic(coeffs, grid) -> GridSolution:
     s = np.arange(1, s_modes + 1)[None, :]
     scaled = coeffs / ((r ** 2 + s ** 2) * np.pi ** 2)
     pts = np.asarray(grid, dtype=np.float64)
-    return GridSolution(pts, bitrig_values(scaled, pts), {
-        "method": "analytic-eigen", "order": np.inf,
-    })
+    return GridSolution(pts, bitrig_values(scaled, pts))
 
 
 def solve_heat_fd(problem_kind: str, f, alpha: float, nx: int, nt: int,
@@ -211,10 +204,7 @@ def solve_heat_fd(problem_kind: str, f, alpha: float, nx: int, nt: int,
         u = values[n - 1]
         values[n, 1:-1] = solve(u[1:-1] + 0.5 * r * (u[:-2] - 2.0 * u[1:-1] + u[2:])
                                 + dt * src[1:-1])
-    return GridSolution((x, t), values, {
-        "method": "crank-nicolson", "nx": nx, "nt": nt, "order": 2,
-        "alpha": alpha, "t_final": t_final,
-    })
+    return GridSolution((x, t), values)
 
 
 def solve_diffusion_reaction(f_or_k, mode: str, diffusion: float,
@@ -259,7 +249,4 @@ def solve_diffusion_reaction(f_or_k, mode: str, diffusion: float,
         else:
             raise PicardError(n)
         values[n, 1:-1] = prev
-    return GridSolution((x, t), values, {
-        "method": "implicit-euler-picard", "nx": nx, "nt": nt, "order": 1,
-        "diffusion": diffusion, "mode": mode,
-    })
+    return GridSolution((x, t), values)

@@ -29,25 +29,41 @@ def central_diff(fn, x, h):
     return g
 
 
-def unfolded_jet(params, f_rows, cols, first=(), second=()):
+def trunk_jet(layers, coords_cols, first=(), laplacian=()):
+    """Features of the trunk layers on (dim, npts) columns, with their
+    derivatives as in dn.hidden_jet: the hidden jet of all but the last
+    layer, then the last, linear layer applied to each stream. The
+    model's merge folds that last layer instead (dn.fold, dn.GridModel),
+    which never forms these (p, npts) features."""
+    hidden = dn.hidden_jet(layers[:-1], coords_cols, first, laplacian)
+    w, b = layers[-1]
+    return dn.Jet(ad.add(ad.matmul(w, hidden.u), b),
+                  {a: ad.matmul(w, t) for a, t in hidden.first.items()},
+                  None if hidden.lap is None else ad.matmul(w, hidden.lap))
+
+
+def unfolded_jet(params, f_rows, cols, first=(), laplacian=()):
     """The network's jet by the unfolded formula u = b (W_L h + b_L) + b0:
-    the trunk's (p, npts) features formed by dn.trunk_jet, merged with
-    the branch features b, then times the mask by the product rule. The
+    the trunk's (p, npts) features formed by trunk_jet, merged with the
+    branch features b, then times the mask by the product rule. The
     reference for the folded merge; runs on numpy rows and tape Vars."""
-    trunk = dn.trunk_jet(params.trunk_layers, cols, first, second)
-    mask = dn.mask_jet(params.arch.transform, cols, first, second)
+    trunk = trunk_jet(params.trunk_layers, cols, first, laplacian)
+    mask = dn.mask_jet(params.arch.transform, cols, first, laplacian)
     b = dn.branch_apply(params, f_rows)
     v = ad.add(ad.matmul(b, trunk.u), params.output_bias)
     v1 = {a: ad.matmul(b, t) for a, t in trunk.first.items()}
-    v2 = {a: ad.matmul(b, t) for a, t in trunk.second.items()}
+    v_lap = None if trunk.lap is None else ad.matmul(b, trunk.lap)
     if mask is None:
-        return dn.Jet(v, v1, v2)
-    m, m1, m2 = mask
+        return dn.Jet(v, v1, v_lap)
+    m, m1, m_lap = mask
+    lap = None
+    if v_lap is not None:
+        lap = ad.add(ad.mul(v_lap, m), ad.mul(v, m_lap))
+        for a in laplacian:
+            lap = ad.add(lap, ad.mul(v1[a], 2.0 * m1[a]))
     return dn.Jet(ad.mul(v, m),
                   {a: ad.add(ad.mul(v1[a], m), ad.mul(v, m1[a])) for a in v1},
-                  {a: ad.add(ad.add(ad.mul(v2[a], m),
-                                    ad.mul(v1[a], 2.0 * m1[a])),
-                             ad.mul(v, m2[a])) for a in v2})
+                  lap)
 
 
 FLAGSHIP = {

@@ -4,7 +4,7 @@ import pytest
 from opstab import autodiff as ad
 from opstab import deeponet as dn
 
-from conftest import rel_err
+from conftest import rel_err, trunk_jet
 
 
 def make_mlp(widths, seed):
@@ -178,24 +178,25 @@ class TestPrimitives:
 
 
 class TestSecondDerivative:
-    """Second coordinate derivatives of a tanh MLP by dn.trunk_jet, whose
-    closed-form rules are composed from these primitives."""
+    """Second coordinate derivatives of a tanh MLP by the Laplacian of
+    conftest.trunk_jet over one axis, whose closed-form rules are
+    composed from these primitives."""
 
     def test_axis_out_of_range(self):
         layers = make_mlp((1, 4, 1), seed=0)
         with pytest.raises(dn.ArchError):
-            dn.trunk_jet(layers, np.array([[0.5]]), second=(2,))
+            trunk_jet(layers, np.array([[0.5]]), laplacian=(2,))
 
     def test_mlp_against_central_difference(self):
         layers = make_mlp((1, 16, 16, 1), seed=7)
 
         def u(y):
-            return float(dn.trunk_jet(layers, np.array([[y]])).u[0, 0])
+            return float(trunk_jet(layers, np.array([[y]])).u[0, 0])
 
         y0, h = 0.37, 1e-4
         fd = (u(y0 + h) - 2 * u(y0) + u(y0 - h)) / h ** 2
-        exact = float(dn.trunk_jet(layers, np.array([[y0]]),
-                                   second=(0,)).second[0][0, 0])
+        exact = float(trunk_jet(layers, np.array([[y0]]),
+                                laplacian=(0,)).lap[0, 0])
         assert abs(exact - fd) / max(abs(fd), 1e-10) < 1e-4
 
     def test_second_axis_of_two(self):
@@ -206,7 +207,7 @@ class TestSecondDerivative:
         point = np.array([[0.5], [2.0]])
         h = np.tanh(w1 @ point + b1)
         want = (w2 @ (-2 * h * (1 - h * h) * w1[:, 1:2] ** 2)).item()
-        got = float(dn.trunk_jet(layers, point, second=(1,)).second[1][0, 0])
+        got = float(trunk_jet(layers, point, laplacian=(1,)).lap[0, 0])
         assert got == pytest.approx(want, rel=1e-12)
 
 

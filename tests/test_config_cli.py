@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -415,3 +416,80 @@ class TestCliOther:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 11
+
+
+@pytest.fixture
+def fresh_process():
+    """keep_freed_memory's once-per-process guard, reset around the test."""
+    cli.keep_freed_memory.cache_clear()
+    yield
+    cli.keep_freed_memory.cache_clear()
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch, fresh_process):
+    """Every mallopt call the commands make, through a stand-in for
+    glibc."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def cdll(name):
+        assert name == "libc.so.6"
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    return calls
+
+
+class TestAllocator:
+    # glibc's M_MMAP_THRESHOLD = -3 to 32 MiB, M_TRIM_THRESHOLD = -1 to
+    # the largest int
+    SETTINGS = [(-3, 32 << 20), (-1, 2 ** 31 - 1)]
+
+    def test_import_leaves_the_allocator_alone(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = (
+            "import ctypes, importlib, pkgutil\n"
+            "import numpy\n"
+            "opened, cdll = [], ctypes.CDLL\n"
+            "ctypes.CDLL = lambda name, *a, **k: (opened.append(name),"
+            " cdll(name, *a, **k))[1]\n"
+            "import opstab\n"
+            "for m in pkgutil.iter_modules(opstab.__path__):\n"
+            "    importlib.import_module('opstab.' + m.name)\n"
+            "print(opened)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_train_and_evaluate_set_it_once_per_process(self, tmp_path,
+                                                        mallopt_calls):
+        path, out = write_small_config(tmp_path)
+        train = ["train", "--config", str(path)]
+        ckpt = str(out / "checkpoint_stable.npz")
+        evaluate = ["evaluate", "--config", str(path), "--baseline", ckpt,
+                    "--stable", ckpt]
+        assert cli.main(train) == 0
+        assert mallopt_calls == self.SETTINGS
+        assert cli.main(evaluate) == 0 and cli.main(train) == 0
+        assert mallopt_calls == self.SETTINGS
+        cli.keep_freed_memory.cache_clear()  # as in a new process
+        assert cli.main(evaluate) == 0
+        assert mallopt_calls == self.SETTINGS * 2
+
+    @pytest.mark.parametrize("libc", [None, types.SimpleNamespace()],
+                             ids=["no_glibc", "no_mallopt"])
+    def test_without_glibc_it_is_a_noop(self, monkeypatch, fresh_process,
+                                        libc):
+        def cdll(name):
+            if libc is None:
+                raise OSError(f"{name}: cannot open shared object file")
+            return libc
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli.keep_freed_memory() is None

@@ -205,6 +205,20 @@ class TestStabilityReport:
         for row in rep.summary_rows:
             assert row["mean_rel_l2"] == 0.0
 
+    def test_no_perturbation_gives_nan_ratio(self):
+        # with epsilon = 0 no pair has a perturbation to divide by: the
+        # ratio is missing, not that of a perfectly stable model
+        prob = pb.default_problem("poisson1d", sensor_count=12,
+                                  collocation_counts=(10, 2, 0))
+        params = tiny_model(5)
+        ds = ev.build_eval_datasets(prob, params, 2,
+                                    AttackConfig(epsilon=0.0, n_iter=2),
+                                    seed=95, eval_points=12)
+        rep = ev.stability_report({"m": params}, ds, spectral_functions=1)
+        for row in rep.summary_rows:
+            assert np.isnan(row["c_emp_p50"]) and np.isnan(row["c_emp_p95"])
+            assert np.isfinite(row["mean_spectral_norm"])
+
     def test_model_order_only_permutes_rows(self):
         prob = pb.default_problem("poisson1d", sensor_count=12,
                                   collocation_counts=(10, 2, 0))

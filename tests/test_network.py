@@ -173,48 +173,79 @@ JET_CASES = [("none", 1), ("none", 2), ("dirichlet_1d", 1),
              ("zero_ic_dirichlet_bc", 2)]
 
 
+# the axes each transform's mask varies along
+MASKED_AXES = {"none": set(), "dirichlet_1d": {0},
+               "dirichlet_2d_space": {0, 1}, "zero_ic_dirichlet_bc": {0, 1}}
+
+
 class TestJet:
     """GridModel.jet against central differences of dn.forward."""
 
     @pytest.mark.parametrize("transform,dim", JET_CASES)
     def test_matches_central_differences(self, transform, dim):
-        params = dn.glorot_init(small_arch(transform, coord_dim=dim), 5)
         rng = np.random.default_rng(9)
-        for _, a in dn.param_items(params):  # nonzero biases too
-            a += 0.1 * rng.standard_normal(a.shape)
         rows = rng.standard_normal((3, 12))
         points = rng.uniform(0.1, 0.9, (20, dim))
         axes = tuple(range(dim))
-        jet = dn.GridModel(params, points, first=axes, second=axes).jet(
-            dn.fold(params, rows))
+        eye = np.eye(dim)
+        for depth in (1, 2, 3):
+            arch = dn.ArchSpec((12, 16, 16), (dim,) + (16,) * depth,
+                               transform=transform)
+            params = dn.glorot_init(arch, 5)
+            for _, a in dn.param_items(params):  # nonzero biases too
+                a += 0.1 * rng.standard_normal(a.shape)
 
-        def u(shift):
-            return dn.forward(params, rows, points + shift)
+            def u(shift):
+                return dn.forward(params, rows, points + shift)
 
-        assert np.array_equal(jet.u, u(0.0))
-        for a in axes:
-            e = np.eye(dim)[a]
-            d1 = (u(1e-5 * e) - u(-1e-5 * e)) / 2e-5
-            d2 = (u(2e-4 * e) - 2 * u(0.0) + u(-2e-4 * e)) / 4e-8
-            assert np.linalg.norm(jet.first[a] - d1) <= 1e-6 * np.linalg.norm(d1)
-            assert np.linalg.norm(jet.second[a] - d2) <= 1e-6 * np.linalg.norm(d2)
+            # the Laplacian over every axis, and over each single one
+            for lap_axes in dict.fromkeys((axes, (0,), (dim - 1,))):
+                jet = dn.GridModel(params, points, first=axes,
+                                   laplacian=lap_axes).jet(
+                    dn.fold(params, rows))
+                assert np.array_equal(jet.u, u(0.0))
+                for a in axes:
+                    d1 = (u(1e-5 * eye[a]) - u(-1e-5 * eye[a])) / 2e-5
+                    assert np.linalg.norm(jet.first[a] - d1) \
+                        <= 1e-6 * np.linalg.norm(d1)
+                if depth == 1 and not set(lap_axes) & MASKED_AXES[transform]:
+                    # linear along these axes: the differences see rounding
+                    assert not np.any(jet.lap)
+                    continue
+                lap = sum((u(2e-4 * eye[a]) - 2 * u(0.0) + u(-2e-4 * eye[a]))
+                          / 4e-8 for a in lap_axes)
+                assert np.linalg.norm(jet.lap - lap) \
+                    <= 1e-6 * np.linalg.norm(lap)
 
     def test_single_layer_trunk_is_linear_in_coordinates(self):
         params = dn.glorot_init(dn.ArchSpec((12, 16), (1, 16)), 5)
         rows = np.ones((2, 12))
         jet = dn.GridModel(params, np.linspace(0, 1, 5), first=(0,),
-                           second=(0,)).jet(dn.fold(params, rows))
+                           laplacian=(0,)).jet(dn.fold(params, rows))
         w = params.trunk_layers[0][0]
         # the single layer folds onto the raw coordinates
         assert np.array_equal(jet.first[0], dn.branch_apply(params, rows) @ w)
-        assert np.array_equal(jet.second[0], np.zeros((2, 1)))
+        assert np.array_equal(jet.lap, np.zeros((2, 1)))
 
     def test_only_requested_axes_without_mask(self):
         params = dn.glorot_init(small_arch(coord_dim=2), 5)
         grid = dn.GridModel(params, np.full((4, 2), 0.5), first=(1,),
-                            second=(0,))
+                            laplacian=(0,))
         jet = grid.jet(dn.fold(params, np.ones((1, 12))))
-        assert set(jet.first) == {1} and set(jet.second) == {0}
+        assert set(jet.first) == {1} and jet.lap.shape == (1, 4)
+
+    def test_only_requested_first_axes_with_mask(self):
+        # the mask's product rule reads the hidden first streams along
+        # the Laplacian's axes, but the output carries only those asked for
+        params = dn.glorot_init(small_arch("zero_ic_dirichlet_bc",
+                                           coord_dim=2), 5)
+        grid = dn.GridModel(params, np.full((4, 2), 0.5), first=(1,),
+                            laplacian=(0,))
+        jet = grid.jet(dn.fold(params, np.ones((1, 12))))
+        assert set(grid.hidden.first) == {0, 1}
+        assert set(jet.first) == {1} and jet.lap.shape == (1, 4)
+        assert dn.GridModel(params, np.full((4, 2), 0.5)).jet(
+            dn.fold(params, np.ones((1, 12)))).lap is None
 
 
 class TestTransforms:
@@ -348,14 +379,14 @@ class TestFoldProperties:
         arch = params.arch
         axes = tuple(range(arch.coord_dim))
         rows = rng.standard_normal((batch, arch.sensor_count))
-        grid = dn.GridModel(params, coords, first=axes, second=axes)
+        grid = dn.GridModel(params, coords, first=axes, laplacian=axes)
         cols = grid.cols
         got = grid.jet(dn.fold(params, rows))
         want = unfolded_jet(params, rows, cols, axes, axes)
         assert rel_err(got.u, want.u) <= 1e-12
         for a in axes:
             assert rel_err(got.first[a], want.first[a]) <= 1e-12
-            assert rel_err(got.second[a], want.second[a]) <= 1e-12
+        assert rel_err(got.lap, want.lap) <= 1e-12
         assert rel_err(grid(rows), want.u) <= 1e-12
 
         jac = unfolded_jacobian(params, rows, cols)

@@ -23,13 +23,14 @@ def sensor_subset(problem, count, seed=0):
     return xs[np.sort(idx)]
 
 
-def analytic(u, first=None, second=None):
+def analytic(u, first=None, lap=None):
     """A known solution as physics_residual takes it: points -> dn.Jet,
-    from closed-form functions of the (n, d) points; first and second
-    map an axis to the derivative along it."""
+    from closed-form functions of the (n, d) points; first maps an axis
+    to the derivative along it, and lap is the Laplacian over the axes
+    the kind's residual reads."""
     return lambda pts: dn.Jet(
         u(pts), {a: d(pts) for a, d in (first or {}).items()},
-        {a: d(pts) for a, d in (second or {}).items()})
+        None if lap is None else lap(pts))
 
 
 def sin_x(pts):
@@ -38,7 +39,7 @@ def sin_x(pts):
 
 # u = sin(pi x), constant in t where there is a t
 SINE_X = analytic(sin_x, first={1: lambda pts: np.zeros(len(pts))},
-                  second={0: lambda pts: -np.pi ** 2 * sin_x(pts)})
+                  lap=lambda pts: -np.pi ** 2 * sin_x(pts))
 
 
 class TestResidualOperators:
@@ -70,9 +71,8 @@ class TestResidualOperators:
             scale = 1.0 / (2 * np.pi ** 2)
             return scale * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
 
-        minus_pi2_u = lambda pts: -np.pi ** 2 * u(pts)
         res = pb.physics_residual(
-            prob, analytic(u, second={0: minus_pi2_u, 1: minus_pi2_u}),
+            prob, analytic(u, lap=lambda pts: -2 * np.pi ** 2 * u(pts)),
             f_vals, pts)
         assert np.abs(res).max() < 1e-8
 
@@ -160,17 +160,18 @@ class TestResidualOperators:
 
 
 def fd_jet(params, rows):
-    """points -> dn.Jet of the network by central differences of
-    dn.forward, a predictor independent of the closed-form jets."""
-    def jet(points):
+    """(points, Laplacian axes) -> dn.Jet of the network by central
+    differences of dn.forward, a predictor independent of the
+    closed-form jets."""
+    def jet(points, laplacian):
         def u(shift):
             return dn.forward(params, rows, points + shift)
         eye = np.eye(points.shape[1])
         first = {a: (u(1e-5 * e) - u(-1e-5 * e)) / 2e-5
                  for a, e in enumerate(eye)}
-        second = {a: (u(2e-4 * e) - 2 * u(0.0) + u(-2e-4 * e)) / 4e-8
-                  for a, e in enumerate(eye)}
-        return dn.Jet(u(0.0), first, second)
+        lap = sum((u(2e-4 * eye[a]) - 2 * u(0.0) + u(-2e-4 * eye[a])) / 4e-8
+                  for a in laplacian)
+        return dn.Jet(u(0.0), first, lap)
     return jet
 
 
@@ -206,7 +207,8 @@ class TestLossesAgainstFiniteDifferences:
                 assert term == 0.0
                 continue
             source = rows @ pb.source_matrix(prob, pts).T
-            block = rule.fn(jet(pts), source, prob.constants, pts)
+            block = rule.fn(jet(pts, rule.laplacian), source, prob.constants,
+                            pts)
             assert float(term) == pytest.approx(np.mean(block ** 2), rel=1e-5)
 
     @pytest.mark.parametrize("kind", pb.KINDS)
@@ -248,7 +250,8 @@ def unfolded_total(prob, params, rows, colloc):
     total = 0.0
     for _, rule, model, points, mat in pb.LossBlocks(prob, params,
                                                      colloc).blocks:
-        jet = unfolded_jet(params, rows, model.cols, rule.first, rule.second)
+        jet = unfolded_jet(params, rows, model.cols, rule.first,
+                           rule.laplacian)
         block = rule.fn(jet, ad.matmul(rows, mat.T), prob.constants, points)
         total = ad.add(total, ad.mean(ad.square(block)))
     return total
@@ -283,6 +286,19 @@ class TestLossBlocks:
             grads.append([total.value] + list(ad.grad(total, leaves).values()))
         for got, want in zip(*grads):
             assert rel_err(got, want) <= 1e-12
+
+
+    def test_poisson2d_tape_nodes(self):
+        # u, two first streams and one Laplacian through the trunk; each
+        # further stream would add nodes
+        prob = small_problem("poisson2d")
+        params = perturbed_params(prob, 0)
+        rows = np.stack([s.values for s in pb.sample_batch(prob, 0, 2)])
+        tape = ad.Tape()
+        lifted, _ = dn.lift_params(tape, params)
+        pb.loss_graph(prob, lifted, tape.constant(rows),
+                      pb.make_collocation(prob))
+        assert len(tape) == 93
 
 
 def loss_terms(prob, params, samples, colloc):

@@ -318,7 +318,7 @@ class TestDiffusionReaction:
 
 class TestGridSolution:
     def test_1d_interpolation(self):
-        sol = sv.GridSolution(np.linspace(0, 1, 11), np.linspace(0, 2, 11), {})
+        sol = sv.GridSolution(np.linspace(0, 1, 11), np.linspace(0, 2, 11))
         assert sol.eval_at([0.25]) == pytest.approx(0.5, abs=1e-15)
 
     def test_bilinear_interpolation(self):
@@ -326,7 +326,7 @@ class TestGridSolution:
         t_axis = np.linspace(0, 1, 3)
         xg, tg = np.meshgrid(x_axis, t_axis)
         values = 2 * xg + 3 * tg
-        sol = sv.GridSolution((x_axis, t_axis), values, {})
+        sol = sv.GridSolution((x_axis, t_axis), values)
         pts = np.array([[0.3, 0.4], [0.9, 0.1]])
         assert np.allclose(sol.eval_at(pts), 2 * pts[:, 0] + 3 * pts[:, 1],
                            rtol=0, atol=1e-14)
