@@ -53,7 +53,7 @@ class AttackConfig:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.norm not in ("linf", "l2"):
-            raise ValueError(f"unsupported norm {self.norm!r}")
+            raise ValueError(f"norm must be linf or l2, got {self.norm!r}")
         if self.n_iter < 0:
             raise ValueError("n_iter must be nonnegative")
         if (self.step_alpha is not None and self.n_iter > 0

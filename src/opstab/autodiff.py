@@ -189,31 +189,6 @@ class Var:
     def __repr__(self):
         return f"Var(#{self.index}, shape={self.value.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 # --------------------------------------------------------------------------
 # dispatching operations: Var -> numpy

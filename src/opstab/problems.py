@@ -38,6 +38,21 @@ class SamplerSpec:
     modes: int = 10
     rescale: Optional[tuple] = None
 
+    def __post_init__(self):
+        if not self.length_scale > 0:
+            raise ProblemError(
+                f"length_scale must be positive, got {self.length_scale}")
+        if not self.variance > 0:
+            raise ProblemError(f"variance must be positive, got {self.variance}")
+        if self.modes < 1:
+            raise ProblemError(f"modes must be at least 1, got {self.modes}")
+        if not self.coeff_range[0] <= self.coeff_range[1]:
+            raise ProblemError(f"coeff_lo must not exceed coeff_hi, got "
+                               f"{self.coeff_range}")
+        if self.rescale is not None and not self.rescale[0] < self.rescale[1]:
+            raise ProblemError(f"rescale_lo must be below rescale_hi, got "
+                               f"{self.rescale}")
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -55,7 +70,25 @@ class ProblemSpec:
                 raise ProblemError(f"{self.kind} requires constant {name!r}")
         if self.sensor_count < 1:
             raise ProblemError("sensor_count must be positive")
-        sensor_grid(self)  # the layout rejects counts it cannot hold
+        grid = sensor_grid(self)  # the layout rejects counts it cannot hold
+        sampler = self.sampler.kind
+        if sampler not in SAMPLERS:
+            raise ProblemError(f"sampler: unknown {sampler!r}")
+        if (sampler == "bitrig") != (grid.ndim == 2):
+            raise ProblemError(f"sampler {sampler!r} does not fit the "
+                               f"{grid.ndim}-d sensors of {self.kind}")
+        n_int, n_bc, n_ic = self.collocation_counts
+        if n_int < 1:
+            raise ProblemError(f"interior_points must be at least 1, got {n_int}")
+        for name, n in (("boundary_points", n_bc), ("initial_points", n_ic)):
+            if n < 0:
+                raise ProblemError(f"{name} must be nonnegative, got {n}")
+        if self.coord_dim == 1 and n_bc not in (0, 2):
+            raise ProblemError(
+                f"boundary_points must be 0 or 2 in 1-d, got {n_bc}")
+        if n_bc % 2:
+            raise ProblemError(
+                f"boundary_points must be even in 2-d, got {n_bc}")
 
     @property
     def entry(self) -> Kind:
@@ -161,13 +194,9 @@ def make_collocation(problem: ProblemSpec) -> CollocationSet:
     dim = problem.coord_dim
     interior = hammersley_interior(n_int, dim)
     if dim == 1:
-        boundary = np.array([[0.0], [1.0]])[:max(0, n_bc)][:n_bc]
-        if n_bc not in (0, 2):
-            raise ProblemError("1-d problems use 0 or 2 boundary points")
+        boundary = np.array([[0.0], [1.0]])[:n_bc]
         initial = np.zeros((n_ic, 1))
     else:
-        if n_bc % 2:
-            raise ProblemError("boundary point count must be even in 2-d")
         if n_bc:
             edge = np.linspace(0.0, 1.0, n_bc // 2)
             boundary = np.concatenate([
@@ -209,8 +238,6 @@ SAMPLERS = {
 def sample_input(problem: ProblemSpec, seed: int) -> FunctionSample:
     """One draw from the problem's input-function distribution."""
     spec = problem.sampler
-    if spec.kind not in SAMPLERS:
-        raise ProblemError(f"unknown sampler kind {spec.kind!r}")
     return SAMPLERS[spec.kind](spec, sensor_grid(problem), seed)
 
 
@@ -266,11 +293,6 @@ def source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
     if xs.ndim == 2:
         return interp_matrix_2d(xs, points)
     return interp_matrix_1d(xs, points[:, 0] if points.ndim == 2 else points)
-
-
-def _check_domain(points: np.ndarray):
-    if points.size and (points.min() < -1e-12 or points.max() > 1.0 + 1e-12):
-        raise ProblemError("collocation points outside the unit domain")
 
 
 # --------------------------------------------------------------------------
@@ -516,32 +538,3 @@ def loss_graph(problem: ProblemSpec, params, f_rows, colloc: CollocationSet):
     total = ad.add(ad.add(physics, bc), ic)
     return physics, bc, ic, total
 
-
-def physics_residual(problem: ProblemSpec, network, f_sample, points) -> np.ndarray:
-    """Residual of the governing operator at the given points (numpy).
-
-    network is either trained DeepONetParams or a function points ->
-    dn.Jet giving the exact value and derivatives of a known solution,
-    which lets analytic solutions be checked against the residual
-    operators directly.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != problem.coord_dim:
-        raise ProblemError(
-            f"{problem.kind} expects {problem.coord_dim}-d points")
-    _check_domain(pts)
-    values = np.asarray(
-        f_sample.values if isinstance(f_sample, FunctionSample) else f_sample,
-        dtype=np.float64)
-    rows = values[None, :]
-    rule = problem.entry.residual
-    if isinstance(network, dn.DeepONetParams):
-        jet = dn.GridModel(network, pts, rule.first, rule.laplacian).jet(
-            dn.fold(network, rows))
-    else:
-        jet = network(pts)
-    res = rule.fn(jet, rows @ source_matrix(problem, pts).T,
-                  problem.constants, pts)
-    return np.asarray(res).reshape(-1) if np.ndim(res) <= 1 else np.asarray(res)[0]

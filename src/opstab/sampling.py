@@ -166,23 +166,10 @@ def van_der_corput_base2(n: int) -> np.ndarray:
     return out
 
 
-def hammersley(n: int, dim: int) -> np.ndarray:
-    """Canonical Hammersley set in [0, 1)^dim.
-
-    dim 1: {i/n}; dim 2: {(i/n, phi2(i))} with phi2 the base-2 radical
-    inverse. Deterministic; returned in index order.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if dim == 1:
-        return (np.arange(n) / n)[:, None]
-    if dim == 2:
-        return np.column_stack([np.arange(n) / n, van_der_corput_base2(n)])
-    raise ValueError(f"unsupported dimension {dim}")
-
-
 def hammersley_interior(n: int, dim: int) -> np.ndarray:
-    """Hammersley points shifted to indices 1..n over denominator n+1.
+    """The (n+1)-point Hammersley set {(i/(n+1), phi2(i))}, phi2 the
+    base-2 radical inverse, without its corner point i = 0 (in 1-d just
+    {i/(n+1)}); returned in index order.
 
     Every point is strictly inside (0, 1)^dim, which collocation layouts
     require.
@@ -197,26 +184,3 @@ def hammersley_interior(n: int, dim: int) -> np.ndarray:
         return np.column_stack([first, van_der_corput_base2(n + 1)[1:]])
     raise ValueError(f"unsupported dimension {dim}")
 
-
-def star_discrepancy_2d(points: np.ndarray) -> float:
-    """Star discrepancy of a 2-d point set over corner-anchored boxes.
-
-    Evaluates the local discrepancy at every box [0,u)x[0,v) with corners
-    drawn from the point coordinates and 1, using both open and closed
-    counts to bracket the supremum. Exact enough to compare set sizes.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    us = np.unique(np.concatenate([pts[:, 0], [1.0]]))
-    vs = np.unique(np.concatenate([pts[:, 1], [1.0]]))
-    worst = 0.0
-    for u in us:
-        in_x_open = pts[:, 0] < u
-        in_x_closed = pts[:, 0] <= u
-        for v in vs:
-            vol = u * v
-            open_count = np.count_nonzero(in_x_open & (pts[:, 1] < v))
-            closed_count = np.count_nonzero(in_x_closed & (pts[:, 1] <= v))
-            worst = max(worst, abs(open_count / n - vol),
-                        abs(closed_count / n - vol))
-    return worst

@@ -70,6 +70,11 @@ class TrainConfig:
             raise ValueError("adversarial_cadence must be >= 1")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1]")
+        for name, beta in zip(("adam_beta1", "adam_beta2"), self.adam_betas):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 @dataclass

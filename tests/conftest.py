@@ -6,6 +6,7 @@ from opstab import deeponet as dn
 from opstab import problems as pb
 from opstab import training as tr
 from opstab.attacks import AttackConfig
+from opstab.sampling import FunctionSample
 
 
 def rel_err(a, b):
@@ -64,6 +65,42 @@ def unfolded_jet(params, f_rows, cols, first=(), laplacian=()):
     return dn.Jet(ad.mul(v, m),
                   {a: ad.add(ad.mul(v1[a], m), ad.mul(v, m1[a])) for a in v1},
                   lap)
+
+
+def _check_domain(points: np.ndarray):
+    if points.size and (points.min() < -1e-12 or points.max() > 1.0 + 1e-12):
+        raise pb.ProblemError("collocation points outside the unit domain")
+
+
+def physics_residual(problem, network, f_sample, points) -> np.ndarray:
+    """Residual of the kind's governing operator at the given points
+    (numpy), an oracle for the residual Rules.
+
+    network is either DeepONetParams or a function points -> dn.Jet
+    giving the exact value and derivatives of a known solution, which
+    lets analytic solutions be checked against the residual operators
+    directly.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[1] != problem.coord_dim:
+        raise pb.ProblemError(
+            f"{problem.kind} expects {problem.coord_dim}-d points")
+    _check_domain(pts)
+    values = np.asarray(
+        f_sample.values if isinstance(f_sample, FunctionSample) else f_sample,
+        dtype=np.float64)
+    rows = values[None, :]
+    rule = problem.entry.residual
+    if isinstance(network, dn.DeepONetParams):
+        jet = dn.GridModel(network, pts, rule.first, rule.laplacian).jet(
+            dn.fold(network, rows))
+    else:
+        jet = network(pts)
+    res = rule.fn(jet, rows @ pb.source_matrix(problem, pts).T,
+                  problem.constants, pts)
+    return np.asarray(res).reshape(-1) if np.ndim(res) <= 1 else np.asarray(res)[0]
 
 
 FLAGSHIP = {

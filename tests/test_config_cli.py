@@ -1,9 +1,11 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from opstab import cli
 from opstab import deeponet as dn
 from opstab import problems as pb
 from opstab import training as tr
-from opstab.config import (RunConfig, ValidationError, parse_config,
-                           parse_config_string, write_config)
+from opstab.attacks import AttackConfig
+from opstab.config import (EvalOptions, RunConfig, ValidationError, _values,
+                           default_config, parse_config, write_config)
 
 
 MINIMAL = """
@@ -68,13 +71,23 @@ KIND_CONSTANTS = {
 }
 
 
+@pytest.fixture
+def parse_text(tmp_path):
+    """parse_config on a file holding the given text."""
+    def parse(text):
+        path = tmp_path / "parsed.ini"
+        path.write_text(text)
+        return parse_config(path)
+    return parse
+
+
 def test_constant_table_covers_every_kind():
     assert set(KIND_CONSTANTS) == set(pb.KINDS)
 
 
 class TestConfigParsing:
-    def test_minimal_config_materializes_defaults(self):
-        rc = parse_config_string(MINIMAL)
+    def test_minimal_config_materializes_defaults(self, parse_text):
+        rc = parse_text(MINIMAL)
         assert rc.problem.kind == "poisson1d"
         assert rc.problem.sensor_count == 100
         assert rc.problem.collocation_counts == (100, 2, 0)
@@ -82,76 +95,75 @@ class TestConfigParsing:
         assert rc.steps == 8000
         assert rc.attack.relative is True
 
-    def test_missing_problem_kind_names_the_key(self):
+    def test_missing_problem_kind_names_the_key(self, parse_text):
         with pytest.raises(ValidationError) as err:
-            parse_config_string("[train]\nsteps = 10\n")
+            parse_text("[train]\nsteps = 10\n")
         assert "kind" in str(err.value)
 
-    def test_unknown_key_rejected_by_name(self):
+    def test_unknown_key_rejected_by_name(self, parse_text):
         with pytest.raises(ValidationError) as err:
-            parse_config_string(MINIMAL + "\n[train]\nstepz = 10\n")
+            parse_text(MINIMAL + "\n[train]\nstepz = 10\n")
         assert "stepz" in str(err.value)
 
-    def test_unknown_section_rejected(self):
+    def test_unknown_section_rejected(self, parse_text):
         with pytest.raises(ValidationError) as err:
-            parse_config_string(MINIMAL + "\n[extra]\nx = 1\n")
+            parse_text(MINIMAL + "\n[extra]\nx = 1\n")
         assert "extra" in str(err.value)
 
-    def test_unknown_problem_kind_rejected(self):
+    def test_unknown_problem_kind_rejected(self, parse_text):
         with pytest.raises(ValidationError):
-            parse_config_string("[problem]\nkind = wave9d\n")
+            parse_text("[problem]\nkind = wave9d\n")
 
-    def test_constant_for_wrong_kind_rejected(self):
+    def test_constant_for_wrong_kind_rejected(self, parse_text):
         with pytest.raises(ValidationError) as err:
-            parse_config_string("[problem]\nkind = poisson1d\nalpha = 0.5\n")
+            parse_text("[problem]\nkind = poisson1d\nalpha = 0.5\n")
         assert "alpha" in str(err.value)
 
     @pytest.mark.parametrize("kind", ["poisson1d", "poisson2d"])
-    def test_nonpositive_sensor_count_rejected(self, kind):
+    def test_nonpositive_sensor_count_rejected(self, parse_text, kind):
         with pytest.raises(ValidationError, match="sensor_count"):
-            parse_config_string(f"[problem]\nkind = {kind}\nsensor_count = -4\n")
+            parse_text(f"[problem]\nkind = {kind}\nsensor_count = -4\n")
 
-    def test_invalid_transform_combination_rejected(self):
+    def test_invalid_transform_combination_rejected(self, parse_text):
         text = "[problem]\nkind = helmholtz_neumann\n[arch]\ntransform = dirichlet_1d\n"
         with pytest.raises(ValidationError):
-            parse_config_string(text)
+            parse_text(text)
 
-    def test_unparseable_value_names_key(self):
+    def test_unparseable_value_names_key(self, parse_text):
         with pytest.raises(ValidationError) as err:
-            parse_config_string(MINIMAL + "\n[train]\nsteps = many\n")
+            parse_text(MINIMAL + "\n[train]\nsteps = many\n")
         assert "steps" in str(err.value)
 
     @pytest.mark.parametrize("key,value", [
         ("n_samples", 0), ("n_samples", -3), ("spectral_functions", -1),
         ("plot_samples", -1)])
-    def test_eval_count_out_of_range_names_key(self, key, value):
+    def test_eval_count_out_of_range_names_key(self, parse_text, key, value):
         with pytest.raises(ValidationError, match=key):
-            parse_config_string(MINIMAL + f"\n[eval]\n{key} = {value}\n")
+            parse_text(MINIMAL + f"\n[eval]\n{key} = {value}\n")
 
     @pytest.mark.parametrize("value", [0, 1, -5])
-    def test_eval_points_below_two_rejected(self, value):
+    def test_eval_points_below_two_rejected(self, parse_text, value):
         with pytest.raises(ValidationError, match="eval_points"):
-            parse_config_string(MINIMAL + f"\n[eval]\neval_points = {value}\n")
+            parse_text(MINIMAL + f"\n[eval]\neval_points = {value}\n")
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
-    def test_nonpositive_power_tol_rejected(self, value):
+    def test_nonpositive_power_tol_rejected(self, parse_text, value):
         with pytest.raises(ValidationError, match="power_tol"):
-            parse_config_string(MINIMAL + f"\n[eval]\npower_tol = {value}\n")
+            parse_text(MINIMAL + f"\n[eval]\npower_tol = {value}\n")
 
     @pytest.mark.parametrize("value", [0, -1])
-    def test_power_max_iter_below_one_rejected(self, value):
+    def test_power_max_iter_below_one_rejected(self, parse_text, value):
         with pytest.raises(ValidationError, match="power_max_iter"):
-            parse_config_string(
-                MINIMAL + f"\n[eval]\npower_max_iter = {value}\n")
+            parse_text(MINIMAL + f"\n[eval]\npower_max_iter = {value}\n")
 
-    def test_round_trip_identity(self, tmp_path):
-        rc = parse_config_string(SMALL_RUN.format(out="x", mode="stable"))
+    def test_round_trip_identity(self, parse_text, tmp_path):
+        rc = parse_text(SMALL_RUN.format(out="x", mode="stable"))
         path = tmp_path / "echo.ini"
         write_config(path, rc)
         assert parse_config(path) == rc
 
-    def test_round_trip_identity_heat(self, tmp_path):
-        rc = parse_config_string(
+    def test_round_trip_identity_heat(self, parse_text, tmp_path):
+        rc = parse_text(
             "[problem]\nkind = heat_ic\nalpha = 0.02\n[eval]\neval_points = 30\n")
         assert rc.problem.constants["alpha"] == 0.02
         path = tmp_path / "echo.ini"
@@ -159,30 +171,113 @@ class TestConfigParsing:
         assert parse_config(path) == rc
 
     @pytest.mark.parametrize("kind", pb.KINDS)
-    def test_round_trip_identity_every_kind(self, kind, tmp_path):
-        rc = parse_config_string(f"[problem]\nkind = {kind}\n")
+    def test_round_trip_identity_every_kind(self, parse_text, kind, tmp_path):
+        rc = parse_text(f"[problem]\nkind = {kind}\n")
         path = tmp_path / "echo.ini"
         write_config(path, rc)
         assert parse_config(path) == rc
 
     @pytest.mark.parametrize("kind", pb.KINDS)
-    def test_constants_accepted_only_by_their_kind(self, kind):
+    def test_constants_accepted_only_by_their_kind(self, parse_text, kind):
         own = KIND_CONSTANTS[kind]
-        rc = parse_config_string(f"[problem]\nkind = {kind}\n"
-                                 + "".join(f"{c} = 0.5\n" for c in own))
+        rc = parse_text(f"[problem]\nkind = {kind}\n"
+                        + "".join(f"{c} = 0.5\n" for c in own))
         assert rc.problem.constants == {c: 0.5 for c in own}
         others = {c for cs in KIND_CONSTANTS.values() for c in cs} - set(own)
         for name in sorted(others):
             with pytest.raises(ValidationError, match=name):
-                parse_config_string(
-                    f"[problem]\nkind = {kind}\n{name} = 0.5\n")
+                parse_text(f"[problem]\nkind = {kind}\n{name} = 0.5\n")
 
-    def test_round_trip_identity_diffrec(self, tmp_path):
-        rc = parse_config_string("[problem]\nkind = diffrec_coeff\n")
+    def test_round_trip_identity_diffrec(self, parse_text, tmp_path):
+        rc = parse_text("[problem]\nkind = diffrec_coeff\n")
         assert rc.problem.sampler.rescale == (1.0, 5.0)
         path = tmp_path / "echo.ini"
         write_config(path, rc)
         assert parse_config(path) == rc
+
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_defaults_are_the_libraries_defaults(self, kind):
+        rc = default_config(kind)
+        problem = pb.default_problem(kind)
+        assert rc.train_config() == tr.TrainConfig(
+            problem=problem, arch=pb.default_arch(problem), steps=rc.steps)
+
+    def test_parsing_leaves_the_defaults_alone(self, parse_text):
+        parse_text(SMALL_RUN.format(out="x", mode="baseline"))
+        rc = default_config("poisson1d")
+        assert rc.attack == AttackConfig(epsilon=0.1, relative=True)
+        assert rc.eval_options == EvalOptions()
+
+    def test_readme_grammar_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration grammar")[1]
+        block = block.split("```ini\n")[1].split("```")[0]
+        block = re.sub(r"\([^)]*\)", "", block)  # choices and notes
+        listed = {(section, key)
+                  for section, keys in re.findall(r"\[(\w+)\]([^[]*)", block)
+                  for key in re.findall(r"\w+", keys)}
+        accepted = {(section, key) for kind in pb.KINDS
+                    for section, keys in _values(default_config(kind)).items()
+                    for key in keys}
+        assert listed == accepted
+
+
+# a [section] key = value that the parser or the library rejects, with
+# the kind it is set on
+OUT_OF_RANGE = [
+    ("poisson1d", "run", "seed", "-1"),
+    ("poisson1d", "run", "mode", "robust"),
+    ("poisson2d", "problem", "sensor_count", "50"),
+    ("poisson1d", "problem", "interior_points", "0"),
+    ("poisson1d", "problem", "boundary_points", "3"),
+    ("heat_source", "problem", "boundary_points", "3"),
+    ("heat_source", "problem", "initial_points", "-1"),
+    ("poisson1d", "problem", "coeff_lo", "2"),
+    ("heat_source", "problem", "sampler", "bitrig"),
+    ("poisson2d", "problem", "sampler", "grf"),
+    ("poisson1d", "problem", "sampler", "brownian"),
+    ("heat_source", "problem", "length_scale", "0"),
+    ("heat_source", "problem", "variance", "0"),
+    ("poisson2d", "problem", "modes", "0"),
+    ("diffrec_coeff", "problem", "rescale_lo", "5"),
+    ("heat_source", "problem", "rescale_hi", "2"),
+    ("poisson1d", "arch", "width", "0"),
+    ("poisson1d", "arch", "depth", "0"),
+    ("poisson1d", "train", "steps", "0"),
+    ("poisson1d", "train", "batch_size", "0"),
+    ("poisson1d", "train", "learning_rate", "0"),
+    ("poisson1d", "train", "warmup_fraction", "1.5"),
+    ("poisson1d", "train", "adam_beta1", "1.0"),
+    ("poisson1d", "train", "adam_beta2", "1.0"),
+    ("poisson1d", "train", "adam_eps", "0"),
+    ("poisson1d", "train", "adversarial_cadence", "0"),
+    ("poisson1d", "train", "checkpoint_every", "-1"),
+    ("poisson1d", "attack", "epsilon", "-0.1"),
+    ("poisson1d", "attack", "step_alpha", "0"),
+    ("poisson1d", "attack", "n_iter", "-1"),
+    ("poisson1d", "attack", "norm", "l1"),
+    ("poisson1d", "eval", "attack_model", "robust"),
+]
+
+
+@pytest.mark.parametrize("kind,section,key,value", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={v}-{kind}"
+                              for kind, s, k, v in OUT_OF_RANGE])
+def test_out_of_range_value_rejected_before_any_file(tmp_path, kind, section,
+                                                     key, value):
+    out = tmp_path / "out"
+    sections = {"run": {"output_dir": out}, "problem": {"kind": kind},
+                "train": {"steps": 1}}
+    sections.setdefault(section, {})[key] = value
+    path = tmp_path / "cfg.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    with pytest.raises(ValidationError) as err:
+        parse_config(path)
+    assert f"[{section}] {key}" in str(err.value)
+    assert cli.main(["train", "--config", str(path)]) == 1
+    assert not out.exists()
 
 
 def write_small_config(tmp_path, mode="stable", name="cfg.ini"):

@@ -6,7 +6,7 @@ from opstab import deeponet as dn
 from opstab import problems as pb
 from opstab.sampling import FunctionSample
 
-from conftest import rel_err, unfolded_jet
+from conftest import physics_residual, rel_err, unfolded_jet
 
 
 def zeroed(params):
@@ -48,7 +48,7 @@ class TestResidualOperators:
         xs = pb.sensor_grid(prob)
         u = analytic(lambda pts: pts[:, 0] ** 2,
                      first={0: lambda pts: 2 * pts[:, 0]})
-        res = pb.physics_residual(prob, u, 2 * xs, np.linspace(0.05, 0.95, 100))
+        res = physics_residual(prob, u, 2 * xs, np.linspace(0.05, 0.95, 100))
         # f = 2y is linear so interpolation is exact everywhere
         assert np.abs(res).max() < 1e-12
 
@@ -56,8 +56,8 @@ class TestResidualOperators:
         prob = pb.default_problem("poisson1d")
         xs = pb.sensor_grid(prob)
         pts = sensor_subset(prob, 100)
-        res = pb.physics_residual(prob, SINE_X,
-                                  np.pi ** 2 * np.sin(np.pi * xs), pts)
+        res = physics_residual(prob, SINE_X,
+                               np.pi ** 2 * np.sin(np.pi * xs), pts)
         assert np.abs(res).max() < 1e-8
 
     def test_poisson2d_bitrig_pair(self):
@@ -71,7 +71,7 @@ class TestResidualOperators:
             scale = 1.0 / (2 * np.pi ** 2)
             return scale * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
 
-        res = pb.physics_residual(
+        res = physics_residual(
             prob, analytic(u, lap=lambda pts: -2 * np.pi ** 2 * u(pts)),
             f_vals, pts)
         assert np.abs(res).max() < 1e-8
@@ -80,7 +80,7 @@ class TestResidualOperators:
         prob = pb.default_problem("helmholtz_neumann")
         xs = pb.sensor_grid(prob)
         pts = sensor_subset(prob, 100, seed=3)
-        res = pb.physics_residual(
+        res = physics_residual(
             prob, SINE_X, (2 + np.pi ** 2) * np.sin(np.pi * xs), pts)
         assert np.abs(res).max() < 1e-8
 
@@ -94,8 +94,8 @@ class TestResidualOperators:
             rng.uniform(0, 1, 100),
         ])
         # time-independent steady state of u_t = a u_xx + f
-        res = pb.physics_residual(prob, SINE_X,
-                                  alpha * np.pi ** 2 * np.sin(np.pi * xs), pts)
+        res = physics_residual(prob, SINE_X,
+                               alpha * np.pi ** 2 * np.sin(np.pi * xs), pts)
         assert np.abs(res).max() < 1e-8
 
     def test_heat_ic_residual_matches_finite_differences(self):
@@ -104,7 +104,7 @@ class TestResidualOperators:
         params = dn.glorot_init(arch, 5)
         sample = pb.sample_input(prob, 0)
         pt = np.array([[0.43, 0.57]])
-        res = pb.physics_residual(prob, params, sample, pt)[0]
+        res = physics_residual(prob, params, sample, pt)[0]
 
         h = 1e-4
         alpha = prob.constants["alpha"]
@@ -131,7 +131,7 @@ class TestResidualOperators:
 
         s = np.sin(np.pi * xs)
         f_vals = d * np.pi ** 2 * s - k * s ** 2
-        res = pb.physics_residual(prob, SINE_X, f_vals, pts)
+        res = physics_residual(prob, SINE_X, f_vals, pts)
         assert np.abs(res).max() < 1e-8
 
     def test_diffrec_coeff_signs_as_stated(self):
@@ -144,7 +144,7 @@ class TestResidualOperators:
         rng = np.random.default_rng(7)
         pts = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)])
 
-        res = pb.physics_residual(prob, SINE_X, k_vals, pts)
+        res = physics_residual(prob, SINE_X, k_vals, pts)
         s = np.sin(np.pi * pts[:, 0])
         k_interp = np.interp(pts[:, 0], xs, k_vals)
         expected = d * np.pi ** 2 * s + k_interp * s ** 2 - s
@@ -156,7 +156,7 @@ class TestResidualOperators:
         params = dn.glorot_init(arch, 0)
         sample = pb.sample_input(prob, 0)
         with pytest.raises(pb.ProblemError):
-            pb.physics_residual(prob, params, sample, np.array([1.5]))
+            physics_residual(prob, params, sample, np.array([1.5]))
 
 
 def fd_jet(params, rows):

@@ -92,7 +92,7 @@ class TestBitrig:
         assert np.abs(sample.values).max() < 1e-12
 
     def test_deterministic(self):
-        grid = sp.hammersley(16, 2)
+        grid = sp.hammersley_interior(16, 2)
         c1, s1 = sp.sample_bitrig(4, 4, grid, 9)
         c2, s2 = sp.sample_bitrig(4, 4, grid, 9)
         assert np.array_equal(c1, c2)
@@ -125,26 +125,54 @@ class TestRescale:
             sp.rescale_to_range(self._sample([0.0, 1.0]), 2.0, 2.0)
 
 
+def star_discrepancy_2d(points: np.ndarray) -> float:
+    """Star discrepancy of a 2-d point set over corner-anchored boxes.
+
+    Evaluates the local discrepancy at every box [0,u)x[0,v) with corners
+    drawn from the point coordinates and 1, using both open and closed
+    counts to bracket the supremum. Exact enough to compare set sizes.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    us = np.unique(np.concatenate([pts[:, 0], [1.0]]))
+    vs = np.unique(np.concatenate([pts[:, 1], [1.0]]))
+    worst = 0.0
+    for u in us:
+        in_x_open = pts[:, 0] < u
+        in_x_closed = pts[:, 0] <= u
+        for v in vs:
+            vol = u * v
+            open_count = np.count_nonzero(in_x_open & (pts[:, 1] < v))
+            closed_count = np.count_nonzero(in_x_closed & (pts[:, 1] <= v))
+            worst = max(worst, abs(open_count / n - vol),
+                        abs(closed_count / n - vol))
+    return worst
+
+
 class TestHammersley:
     def test_reference_set_n4(self):
-        expected = np.array([[0.0, 0.0], [0.25, 0.5], [0.5, 0.25],
-                             [0.75, 0.75]])
-        assert np.array_equal(sp.hammersley(4, 2), expected)
+        # the 4-point Hammersley set without its corner point (0, 0)
+        expected = np.array([[0.25, 0.5], [0.5, 0.25], [0.75, 0.75]])
+        assert np.array_equal(sp.hammersley_interior(3, 2), expected)
 
     def test_dim1_n2(self):
-        assert np.array_equal(sp.hammersley(2, 1).ravel(), [0.0, 0.5])
+        assert np.array_equal(sp.hammersley_interior(2, 1).ravel(),
+                              [1 / 3, 2 / 3])
 
     def test_all_points_in_half_open_box(self):
-        pts = sp.hammersley(200, 2)
+        # the first coordinate is i/(n+1), the second a radical inverse,
+        # a dyadic rational in [0, 1)
+        pts = sp.hammersley_interior(200, 2)
+        assert np.array_equal(pts[:, 0], np.arange(1, 201) / 201)
         assert pts.min() >= 0.0 and pts.max() < 1.0
 
     def test_unsupported_dim(self):
         with pytest.raises(ValueError):
-            sp.hammersley(4, 3)
+            sp.hammersley_interior(4, 3)
 
     def test_star_discrepancy_decreases(self):
-        d64 = sp.star_discrepancy_2d(sp.hammersley(64, 2))
-        d256 = sp.star_discrepancy_2d(sp.hammersley(256, 2))
+        d64 = star_discrepancy_2d(sp.hammersley_interior(64, 2))
+        d256 = star_discrepancy_2d(sp.hammersley_interior(256, 2))
         assert d256 < d64
 
     @pytest.mark.parametrize("n", [1, 2, 201, 4097])
