@@ -18,9 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from . import deeponet as dn
 from . import solvers as sv
-from .sampling import (FunctionSample, GrfSpec, hammersley_interior,
-                       rescale_to_range, sample_bitrig, sample_grf,
-                       sample_polynomial_deg3)
+from .sampling import (FunctionSample, GrfSpec, bitrig_block, grf_block,
+                       hammersley_interior, poly3_block, rescale_rows)
 
 
 class ProblemError(ValueError):
@@ -213,37 +212,42 @@ def make_collocation(problem: ProblemSpec) -> CollocationSet:
     return CollocationSet(interior, boundary, initial)
 
 
-def _draw_grf(spec: SamplerSpec, xs, seed):
-    sample = sample_grf(GrfSpec(spec.length_scale, spec.variance), xs, seed)
+def _draw_grf(spec: SamplerSpec, xs, seeds):
+    values, meta = grf_block(GrfSpec(spec.length_scale, spec.variance), xs,
+                             seeds)
     if spec.rescale is not None:
-        sample = rescale_to_range(sample, *spec.rescale)
-    return sample
+        values = rescale_rows(values, *spec.rescale)
+        meta["rescaled_to"] = spec.rescale
+    return values, meta
 
 
-def _draw_bitrig(spec: SamplerSpec, xs, seed):
-    coeffs, sample = sample_bitrig(spec.modes, spec.modes, xs, seed)
-    sample.meta["coeffs"] = coeffs
-    return sample
-
-
-# input-function distributions, keyed by SamplerSpec.kind
+# input-function distributions, keyed by SamplerSpec.kind; each maps
+# (spec, sensors, seeds) to (an (n, m) block, its meta), where a meta
+# "coeffs" entry holds one coefficient set per row
 SAMPLERS = {
     "grf": _draw_grf,
-    "poly3": lambda spec, xs, seed: sample_polynomial_deg3(spec.coeff_range,
-                                                           xs, seed),
-    "bitrig": _draw_bitrig,
+    "poly3": lambda spec, xs, seeds: poly3_block(spec.coeff_range, xs, seeds),
+    "bitrig": lambda spec, xs, seeds: bitrig_block(spec.modes, xs, seeds),
 }
 
 
 def sample_input(problem: ProblemSpec, seed: int) -> FunctionSample:
-    """One draw from the problem's input-function distribution."""
+    """One draw from the problem's input-function distribution: the
+    one-seed case of sample_batch, with its provenance."""
+    spec, xs = problem.sampler, sensor_grid(problem)
+    values, meta = SAMPLERS[spec.kind](spec, xs, [seed])
+    meta = {"kind": spec.kind, "seed": seed, **meta}
+    if "coeffs" in meta:
+        meta["coeffs"] = meta["coeffs"][0]
+    return FunctionSample(xs, values[0], meta)
+
+
+def sample_batch(problem: ProblemSpec, base_seed: int, n: int) -> np.ndarray:
+    """The (n, m) block of n draws; row i is drawn at seed base_seed + i
+    and equals sample_input(problem, base_seed + i).values."""
     spec = problem.sampler
-    return SAMPLERS[spec.kind](spec, sensor_grid(problem), seed)
-
-
-def sample_batch(problem: ProblemSpec, base_seed: int, n: int):
-    """Per-sample seeds are base_seed + index."""
-    return [sample_input(problem, base_seed + i) for i in range(n)]
+    seeds = range(base_seed, base_seed + n)
+    return SAMPLERS[spec.kind](spec, sensor_grid(problem), seeds)[0]
 
 
 # --------------------------------------------------------------------------

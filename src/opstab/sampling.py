@@ -2,13 +2,13 @@
 
 Gaussian random fields (RBF kernel, Cholesky factor), degree-3
 polynomials, bi-trigonometric 2-d sources, range rescaling, and the
-Hammersley sequence. Every sampler is a pure function of (spec, seed).
+Hammersley sequence. Every sampler is a pure function of (spec, seeds)
+and draws an (n, m) block, row i from seeds[i] alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +22,8 @@ class GrfSpec:
     """RBF-kernel Gaussian random field: cov = variance*exp(-dx^2/(2 l^2)).
 
     jitter is the starting diagonal regularization for the Cholesky
-    factorization; it escalates tenfold up to 1e-6 before giving up.
+    factorization; it escalates through the powers of ten up to 1e-6
+    before giving up.
     """
 
     length_scale: float
@@ -32,6 +33,8 @@ class GrfSpec:
     def __post_init__(self):
         if self.length_scale <= 0:
             raise ValueError("length_scale must be positive")
+        if not self.variance > 0:
+            raise ValueError("variance must be positive")
         if self.jitter < 0:
             raise ValueError("jitter must be nonnegative")
 
@@ -62,94 +65,86 @@ def rbf_kernel(xs, length_scale, variance=1.0):
     return variance * np.exp(-d2 / (2.0 * length_scale ** 2))
 
 
-# Escalation floor is small enough that numerically rank-one kernels (the
-# fully correlated limit) stay constant to ~1e-7 after factorization.
-_JITTER_CAP = 1e-6
-_JITTER_FLOOR = 1e-14
-
-
 def _chol_with_escalation(kernel, jitter):
-    m = kernel.shape[0]
-    current = jitter
-    while True:
+    """Cholesky of kernel + jitter I, climbing the exact powers of ten
+    1e-14 ... 1e-6 above jitter on failure. The 1e-14 floor keeps rank-one
+    kernels (the fully correlated limit) constant to ~1e-7."""
+    eye = np.eye(kernel.shape[0])
+    powers = (10.0 ** k for k in range(-14, -5))
+    for current in [jitter, *(p for p in powers if p > jitter)]:
         try:
-            return np.linalg.cholesky(kernel + current * np.eye(m)), current
+            return np.linalg.cholesky(kernel + current * eye), current
         except np.linalg.LinAlgError:
-            if current >= _JITTER_CAP:
-                raise SamplingError(
-                    f"Cholesky failed even with jitter {current:g}") from None
-            current = _JITTER_FLOOR if current == 0.0 else current * 10.0
+            pass
+    raise SamplingError(f"Cholesky failed even with jitter {current:g}")
 
 
-def sample_grf(spec: GrfSpec, sensor_xs, seed: int) -> FunctionSample:
-    """Draw one field: values = L z with K = L L^T and z ~ N(0, I)."""
+def grf_block(spec: GrfSpec, sensor_xs, seeds):
+    """One field per seed, as the rows of an (n, m) block: row i is L z
+    with K = L L^T and z ~ N(0, I) drawn from seeds[i], the kernel
+    factored once for the block. Returns (block, meta)."""
     xs = np.asarray(sensor_xs, dtype=np.float64)
     if np.any(np.diff(xs) <= 0):
         raise ValueError("sensors must be sorted strictly increasing")
     kernel = rbf_kernel(xs, spec.length_scale, spec.variance)
     chol, used_jitter = _chol_with_escalation(kernel, spec.jitter)
-    z = np.random.default_rng(seed).standard_normal(len(xs))
-    return FunctionSample(xs, chol @ z, meta={
-        "kind": "grf", "seed": seed, "length_scale": spec.length_scale,
-        "variance": spec.variance, "jitter": used_jitter,
-    })
+    rows = [chol @ np.random.default_rng(seed).standard_normal(len(xs))
+            for seed in seeds]
+    return np.array(rows), {"length_scale": spec.length_scale,
+                            "variance": spec.variance, "jitter": used_jitter}
 
 
-def sample_polynomial_deg3(coeff_range, sensor_xs, seed: int) -> FunctionSample:
-    """f(x) = c0 + c1 x + c2 x^2 + c3 x^3, coefficients uniform in coeff_range."""
+def poly3_block(coeff_range, sensor_xs, seeds):
+    """Rows f(x) = c0 + c1 x + c2 x^2 + c3 x^3, one per seed, with the
+    coefficients uniform in coeff_range. Returns (block, meta), with
+    meta["coeffs"] of shape (n, 4)."""
     lo, hi = float(coeff_range[0]), float(coeff_range[1])
     if hi < lo:
         raise ValueError("coeff_range must satisfy lo <= hi")
     xs = np.asarray(sensor_xs, dtype=np.float64)
-    coeffs = np.random.default_rng(seed).uniform(lo, hi, size=4)
-    values = coeffs[0] + coeffs[1] * xs + coeffs[2] * xs ** 2 + coeffs[3] * xs ** 3
-    return FunctionSample(xs, values, meta={
-        "kind": "poly3", "seed": seed, "coeffs": coeffs,
-    })
+    coeffs = np.array([np.random.default_rng(seed).uniform(lo, hi, size=4)
+                       for seed in seeds])
+    c0, c1, c2, c3 = (coeffs[:, k, None] for k in range(4))
+    return c0 + c1 * xs + c2 * xs ** 2 + c3 * xs ** 3, {"coeffs": coeffs}
 
 
 def bitrig_values(coeffs, points):
-    """Evaluate sum_rs c_rs sin(r pi x) sin(s pi y) at (n, 2) points."""
+    """Evaluate sum_rs c_rs sin(r pi x) sin(s pi y) at (n, 2) points for
+    each (R, S) coefficient set of a (k, R, S) stack; returns (k, n)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     pts = np.asarray(points, dtype=np.float64)
-    r_modes, s_modes = coeffs.shape
+    _, r_modes, s_modes = coeffs.shape
     sx = np.sin(np.outer(pts[:, 0], np.pi * np.arange(1, r_modes + 1)))
     sy = np.sin(np.outer(pts[:, 1], np.pi * np.arange(1, s_modes + 1)))
-    return np.einsum("rs,ir,is->i", coeffs, sx, sy)
+    return np.array([np.einsum("rs,ir,is->i", c, sx, sy) for c in coeffs])
 
 
-def sample_bitrig(r_modes: int, s_modes: int, grid_2d, seed: int):
-    """Standard-normal coefficients on a sine x sine basis.
-
-    Returns (coeffs (R, S), FunctionSample over the 2-d grid); the
-    coefficients are what the analytic Poisson oracle consumes.
-    """
-    if r_modes < 1 or s_modes < 1:
+def bitrig_block(modes: int, grid_2d, seeds):
+    """Standard-normal coefficients on a modes x modes sine basis, one
+    set per seed. Returns (block over the 2-d grid, meta); meta["coeffs"]
+    (n, R, S) is what the analytic Poisson oracle consumes."""
+    if modes < 1:
         raise ValueError("mode counts must be >= 1")
-    coeffs = np.random.default_rng(seed).standard_normal((r_modes, s_modes))
-    grid = np.asarray(grid_2d, dtype=np.float64)
-    sample = FunctionSample(grid, bitrig_values(coeffs, grid), meta={
-        "kind": "bitrig", "seed": seed, "r_modes": r_modes, "s_modes": s_modes,
-    })
-    return coeffs, sample
+    coeffs = np.array([np.random.default_rng(seed).standard_normal(
+        (modes, modes)) for seed in seeds])
+    return bitrig_values(coeffs, grid_2d), {"r_modes": modes, "s_modes": modes,
+                                            "coeffs": coeffs}
 
 
-def rescale_to_range(sample: FunctionSample, lo: float, hi: float) -> FunctionSample:
-    """Affine map sending (min, max) of values to (lo, hi).
+def rescale_rows(values, lo: float, hi: float) -> np.ndarray:
+    """Affine map sending each row's (min, max) to (lo, hi).
 
-    Constant inputs map to the interval midpoint rather than dividing by
+    Constant rows map to the interval midpoint rather than dividing by
     zero.
     """
     if hi <= lo:
         raise ValueError("need hi > lo")
-    vmin, vmax = sample.values.min(), sample.values.max()
-    if vmax == vmin:
-        values = np.full_like(sample.values, 0.5 * (lo + hi))
-    else:
-        values = lo + (sample.values - vmin) * (hi - lo) / (vmax - vmin)
-    meta = dict(sample.meta)
-    meta["rescaled_to"] = (lo, hi)
-    return FunctionSample(sample.sensor_xs, values, meta)
+    values = np.asarray(values, dtype=np.float64)
+    vmin = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - vmin
+    out = lo + (values - vmin) * (hi - lo) / np.where(span == 0, 1.0, span)
+    out[span[:, 0] == 0] = 0.5 * (lo + hi)
+    return out
 
 
 def van_der_corput_base2(n: int) -> np.ndarray:

@@ -171,7 +171,7 @@ def solve_poisson_2d_analytic(coeffs, grid) -> GridSolution:
     s = np.arange(1, s_modes + 1)[None, :]
     scaled = coeffs / ((r ** 2 + s ** 2) * np.pi ** 2)
     pts = np.asarray(grid, dtype=np.float64)
-    return GridSolution(pts, bitrig_values(scaled, pts))
+    return GridSolution(pts, bitrig_values(scaled[None], pts)[0])
 
 
 def solve_heat_fd(problem_kind: str, f, alpha: float, nx: int, nt: int,

@@ -1,12 +1,13 @@
 """Adam optimization and the alternating adversarial training loop.
 
-Every step draws a fresh batch of input functions from the problem's
-sampler. After a warmup stretch of plain training, steps whose index is
-divisible by the cadence M replace the batch with PGD-perturbed
-counterparts before the gradient step, realizing the min-max objective:
-the attack maximizes the physics-informed loss, the optimizer minimizes
-it. The baseline model is the same loop with the attack disabled, so
-comparisons isolate the min-max component.
+Step s draws its batch of input functions at seeds (seed ^ s) + i, so
+nearby steps reuse most inputs (at seed 0 all but one). After a warmup
+stretch of plain training, steps whose index is divisible by the
+cadence M replace the batch with PGD-perturbed counterparts before the
+gradient step, realizing the min-max objective: the attack maximizes
+the physics-informed loss, the optimizer minimizes it. The baseline
+model is the same loop with the attack disabled, so comparisons isolate
+the min-max component.
 """
 
 from __future__ import annotations
@@ -168,8 +169,7 @@ def train(config: TrainConfig, progress_sink: Optional[Callable] = None
     for step in range(1, config.steps + 1):
         phase = _phase_for(step, config)
         batch_seed = config.seed ^ step
-        batch = pb.sample_batch(problem, batch_seed, config.batch_size)
-        rows = np.stack([s.values for s in batch])
+        rows = pb.sample_batch(problem, batch_seed, config.batch_size)
 
         if phase == "adversarial":
             # warm-start stream kept disjoint from the batch-sampling stream

@@ -197,7 +197,7 @@ class TestLossesAgainstFiniteDifferences:
         prob = small_problem(kind)
         params = perturbed_params(prob, 1)
         colloc = pb.make_collocation(prob)
-        rows = np.stack([s.values for s in pb.sample_batch(prob, 3, 2)])
+        rows = pb.sample_batch(prob, 3, 2)
         got = pb.loss_graph(prob, params, rows, colloc)[:3]
         entry, jet = prob.entry, fd_jet(params, rows)
         for term, rule, pts in zip(
@@ -216,7 +216,7 @@ class TestLossesAgainstFiniteDifferences:
         prob = small_problem(kind)
         params = perturbed_params(prob, 2)
         colloc = pb.make_collocation(prob)
-        rows = np.stack([s.values for s in pb.sample_batch(prob, 4, 2)])
+        rows = pb.sample_batch(prob, 4, 2)
         arrays = [a for _, a in dn.param_items(params)]
         rng = np.random.default_rng(3)
         direction = [rng.standard_normal(a.shape) for a in arrays]
@@ -266,7 +266,7 @@ class TestLossBlocks:
         fold = dn.fold
         monkeypatch.setattr(dn, "fold",
                             lambda *args: calls.append(args) or fold(*args))
-        rows = np.stack([s.values for s in pb.sample_batch(prob, 0, 2)])
+        rows = pb.sample_batch(prob, 0, 2)
         assert set(blocks(rows)) == {"physics", "bc", "ic"}
         assert len(calls) == 1
 
@@ -276,7 +276,7 @@ class TestLossBlocks:
         prob = small_problem(kind)
         params = perturbed_params(prob, 5, depth, transform)
         colloc = pb.make_collocation(prob)
-        rows = np.stack([s.values for s in pb.sample_batch(prob, 6, 3)])
+        rows = pb.sample_batch(prob, 6, 3)
         grads = []
         for loss in (lambda p: pb.loss_graph(prob, p, rows, colloc)[3],
                      lambda p: unfolded_total(prob, p, rows, colloc)):
@@ -293,7 +293,7 @@ class TestLossBlocks:
         # further stream would add nodes
         prob = small_problem("poisson2d")
         params = perturbed_params(prob, 0)
-        rows = np.stack([s.values for s in pb.sample_batch(prob, 0, 2)])
+        rows = pb.sample_batch(prob, 0, 2)
         tape = ad.Tape()
         lifted, _ = dn.lift_params(tape, params)
         pb.loss_graph(prob, lifted, tape.constant(rows),
@@ -420,12 +420,41 @@ class TestCollocation:
 
 
 class TestSamplers:
-    def test_sample_batch_uses_offset_seeds(self):
-        prob = pb.default_problem("poisson1d")
-        batch = pb.sample_batch(prob, 100, 3)
-        singles = [pb.sample_input(prob, 100 + i) for i in range(3)]
-        for a, b in zip(batch, singles):
-            assert np.array_equal(a.values, b.values)
+    @pytest.mark.parametrize("n", (1, 32))
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_sample_batch_uses_offset_seeds(self, kind, n):
+        prob = pb.default_problem(kind)
+        batch = pb.sample_batch(prob, 100, n)
+        assert batch.shape == (n, prob.sensor_count)
+        assert batch.dtype == np.float64
+        for i, row in enumerate(batch):
+            assert np.array_equal(row, pb.sample_input(prob, 100 + i).values)
+
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_sample_input_meta(self, kind):
+        prob = pb.default_problem(kind)
+        spec = prob.sampler
+        meta = pb.sample_input(prob, 9).meta
+        assert (meta["kind"], meta["seed"]) == (spec.kind, 9)
+        if spec.kind == "grf":
+            assert meta["length_scale"] == spec.length_scale
+            assert meta["jitter"] == 1e-14
+            assert meta.get("rescaled_to") == spec.rescale
+        elif spec.kind == "poly3":
+            assert meta["coeffs"].shape == (4,)
+        else:
+            want = np.random.default_rng(9).standard_normal(
+                (spec.modes, spec.modes))
+            assert np.array_equal(meta["coeffs"], want)
+
+    def test_grf_batch_factors_the_kernel_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a) or cholesky(a))
+        pb.sample_batch(pb.default_problem("heat_source"), 0, 32)
+        # one factor: the jitter-0 attempt and the 1e-14 rung
+        assert len(calls) <= 2
 
     def test_problem_sampler_kinds(self):
         assert pb.default_problem("poisson1d").sampler.kind == "poly3"

@@ -4,45 +4,70 @@ import pytest
 from opstab import sampling as sp
 
 
+def grf_rows(spec, xs, seeds):
+    return sp.grf_block(spec, xs, seeds)[0]
+
+
 class TestGrf:
     def test_fully_correlated_limit_is_constant(self):
         xs = np.linspace(0.45, 0.55, 10)
-        for seed in range(5):
-            s = sp.sample_grf(sp.GrfSpec(length_scale=1e6), xs, seed)
-            assert s.values.max() - s.values.min() < 1e-6
+        for row in grf_rows(sp.GrfSpec(length_scale=1e6), xs, range(5)):
+            assert row.max() - row.min() < 1e-6
 
     def test_deterministic_per_seed(self):
         xs = np.linspace(0, 1, 60)
-        a = sp.sample_grf(sp.GrfSpec(0.2), xs, 7)
-        b = sp.sample_grf(sp.GrfSpec(0.2), xs, 7)
-        assert np.array_equal(a.values, b.values)
-        c = sp.sample_grf(sp.GrfSpec(0.2), xs, 8)
-        assert not np.array_equal(a.values, c.values)
+        a, b, c = grf_rows(sp.GrfSpec(0.2), xs, [7, 7, 8])
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.array_equal(grf_rows(sp.GrfSpec(0.2), xs, [7])[0], a)
+
+    def test_rows_match_the_per_draw_formula(self):
+        xs = np.linspace(0, 1, 100)
+        chol = np.linalg.cholesky(sp.rbf_kernel(xs, 0.2) + 1e-14 * np.eye(100))
+        rows, meta = sp.grf_block(sp.GrfSpec(0.2), xs, range(3, 35))
+        assert meta["jitter"] == 1e-14
+        for seed, row in zip(range(3, 35), rows):
+            z = np.random.default_rng(seed).standard_normal(100)
+            assert np.array_equal(row, chol @ z)
 
     def test_monte_carlo_covariance_matches_kernel(self):
         xs = np.linspace(0, 1, 100)
         kernel = sp.rbf_kernel(xs, 0.2)
-        draws = np.stack([sp.sample_grf(sp.GrfSpec(0.2), xs, s).values
-                          for s in range(5000)])
+        draws = grf_rows(sp.GrfSpec(0.2), xs, range(5000))
         empirical = draws.T @ draws / len(draws)
         assert np.abs(empirical - kernel).max() < 0.1
 
     def test_stationary_variance_within_ten_percent(self):
         xs = np.linspace(0, 1, 40)
-        draws = np.stack([sp.sample_grf(sp.GrfSpec(0.3), xs, s).values
-                          for s in range(5000)])
+        draws = grf_rows(sp.GrfSpec(0.3), xs, range(5000))
         per_sensor_var = draws.var(axis=0)
         assert np.all(np.abs(per_sensor_var - 1.0) < 0.10)
 
     def test_rank_deficient_length_scale_escalates_jitter(self):
         xs = np.linspace(0, 1, 100)
-        s = sp.sample_grf(sp.GrfSpec(1.4), xs, 0)
-        assert s.meta["jitter"] <= 1e-6
-        assert np.all(np.isfinite(s.values))
+        rows, meta = sp.grf_block(sp.GrfSpec(1.4), xs, [0])
+        assert meta["jitter"] <= 1e-6
+        assert np.all(np.isfinite(rows))
+
+    def test_jitter_ladder_stops_at_exactly_its_cap(self, monkeypatch):
+        kernel = sp.rbf_kernel(np.linspace(0, 1, 5), 0.2, variance=-1.0)
+        tried = []
+
+        def cholesky(a):
+            tried.append(a)
+            raise np.linalg.LinAlgError
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        with pytest.raises(sp.SamplingError, match=r"jitter 1e-06$"):
+            sp._chol_with_escalation(kernel, 0.0)
+        rungs = [0.0] + [float(f"1e{k}") for k in range(-14, -5)]
+        assert len(tried) == len(rungs)
+        for a, jitter in zip(tried, rungs):
+            assert np.array_equal(a, kernel + jitter * np.eye(5))
 
     def test_unsorted_sensors_rejected(self):
         with pytest.raises(ValueError):
-            sp.sample_grf(sp.GrfSpec(0.2), [0.0, 0.5, 0.3], 0)
+            sp.grf_block(sp.GrfSpec(0.2), [0.0, 0.5, 0.3], [0])
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -50,34 +75,37 @@ class TestGrf:
         with pytest.raises(ValueError):
             sp.GrfSpec(length_scale=1.0, jitter=-1e-3)
 
+    @pytest.mark.parametrize("variance", (0.0, -1.0))
+    def test_nonpositive_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="variance"):
+            sp.GrfSpec(length_scale=0.2, variance=variance)
+
 
 class TestPolynomial:
     def test_zero_coefficient_range(self):
         xs = np.linspace(0, 1, 20)
-        s = sp.sample_polynomial_deg3((0.0, 0.0), xs, 3)
-        assert np.array_equal(s.values, np.zeros(20))
+        values, _ = sp.poly3_block((0.0, 0.0), xs, [3])
+        assert np.array_equal(values, np.zeros((1, 20)))
 
     def test_pure_cubic(self):
         xs = np.linspace(0, 1, 20)
-        s = sp.sample_polynomial_deg3((1.0, 1.0), xs, 0)
+        values, _ = sp.poly3_block((1.0, 1.0), xs, [0])
         # all coefficients forced to 1: f = 1 + x + x^2 + x^3
-        assert np.allclose(s.values, 1 + xs + xs ** 2 + xs ** 3,
+        assert np.allclose(values[0], 1 + xs + xs ** 2 + xs ** 3,
                            rtol=0, atol=1e-15)
 
     def test_deterministic(self):
         xs = np.linspace(0, 1, 20)
-        a = sp.sample_polynomial_deg3((-1, 1), xs, 4)
-        b = sp.sample_polynomial_deg3((-1, 1), xs, 4)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.meta["coeffs"], b.meta["coeffs"])
+        values, meta = sp.poly3_block((-1, 1), xs, [4, 4])
+        assert np.array_equal(values[0], values[1])
+        assert np.array_equal(meta["coeffs"][0], meta["coeffs"][1])
 
 
 class TestBitrig:
     def test_single_forced_mode_center_value(self):
         grid = np.array([[0.5, 0.5]])
-        coeffs, _ = sp.sample_bitrig(1, 1, grid, 0)
-        values = sp.bitrig_values(np.ones((1, 1)), grid)
-        assert values[0] == pytest.approx(1.0, abs=1e-15)
+        values = sp.bitrig_values(np.ones((1, 1, 1)), grid)
+        assert values[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_on_square_boundary(self):
         rng = np.random.default_rng(0)
@@ -88,41 +116,46 @@ class TestBitrig:
             np.column_stack([edge, np.zeros(100)]),
             np.column_stack([edge, np.ones(100)]),
         ])
-        coeffs, sample = sp.sample_bitrig(10, 10, pts, 1)
-        assert np.abs(sample.values).max() < 1e-12
+        values, _ = sp.bitrig_block(10, pts, [1])
+        assert np.abs(values).max() < 1e-12
 
     def test_deterministic(self):
         grid = sp.hammersley_interior(16, 2)
-        c1, s1 = sp.sample_bitrig(4, 4, grid, 9)
-        c2, s2 = sp.sample_bitrig(4, 4, grid, 9)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(s1.values, s2.values)
+        values, meta = sp.bitrig_block(4, grid, [9, 9])
+        assert np.array_equal(meta["coeffs"][0], meta["coeffs"][1])
+        assert np.array_equal(values[0], values[1])
 
     def test_mode_count_validated(self):
         with pytest.raises(ValueError):
-            sp.sample_bitrig(0, 3, np.zeros((1, 2)), 0)
+            sp.bitrig_block(0, np.zeros((1, 2)), [0])
 
 
 class TestRescale:
-    def _sample(self, values):
-        return sp.FunctionSample(np.linspace(0, 1, len(values)), values)
-
     def test_basic_map(self):
-        out = sp.rescale_to_range(self._sample([0.0, 1.0, 2.0]), 1.0, 5.0)
-        assert np.allclose(out.values, [1.0, 3.0, 5.0], rtol=0, atol=0)
+        out = sp.rescale_rows([[0.0, 1.0, 2.0]], 1.0, 5.0)
+        assert np.allclose(out, [[1.0, 3.0, 5.0]], rtol=0, atol=0)
 
     def test_constant_maps_to_midpoint(self):
-        out = sp.rescale_to_range(self._sample([2.0, 2.0, 2.0]), 1.0, 5.0)
-        assert np.array_equal(out.values, [3.0, 3.0, 3.0])
+        out = sp.rescale_rows([[2.0, 2.0, 2.0]], 1.0, 5.0)
+        assert np.array_equal(out, [[3.0, 3.0, 3.0]])
+
+    def test_block_maps_each_row_alone(self):
+        rows = np.array([[0.3, -1.0, 4.0], [2.0, 2.0, 2.0], [5.0, 1.0, 3.0]])
+        out = sp.rescale_rows(rows, 1.0, 5.0)
+        row = rows[0]
+        want = 1.0 + (row - row.min()) * 4.0 / (row.max() - row.min())
+        assert np.array_equal(out[0], want)
+        assert np.array_equal(out[1], [3.0, 3.0, 3.0])
+        assert np.array_equal(out[2], [5.0, 1.0, 3.0])
 
     def test_idempotent(self):
-        once = sp.rescale_to_range(self._sample([0.3, -1.0, 4.0]), 1.0, 5.0)
-        twice = sp.rescale_to_range(once, 1.0, 5.0)
-        assert np.allclose(once.values, twice.values, rtol=0, atol=1e-15)
+        once = sp.rescale_rows([[0.3, -1.0, 4.0]], 1.0, 5.0)
+        twice = sp.rescale_rows(once, 1.0, 5.0)
+        assert np.allclose(once, twice, rtol=0, atol=1e-15)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            sp.rescale_to_range(self._sample([0.0, 1.0]), 2.0, 2.0)
+            sp.rescale_rows([[0.0, 1.0]], 2.0, 2.0)
 
 
 def star_discrepancy_2d(points: np.ndarray) -> float:

@@ -145,7 +145,7 @@ class TestPoisson2dAnalytic:
         lap = (u[1:-1, :-2] + u[1:-1, 2:] + u[:-2, 1:-1] + u[2:, 1:-1]
                - 4 * u[1:-1, 1:-1]) / h ** 2
         from opstab.sampling import bitrig_values
-        f = bitrig_values(coeffs, pts).reshape(n, n)
+        f = bitrig_values(coeffs[None], pts).reshape(n, n)
         assert np.abs(-lap - f[1:-1, 1:-1]).max() < 1e-3
 
 
