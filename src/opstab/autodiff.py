@@ -70,13 +70,13 @@ _VJP = {}
 
 
 def _register(name, forward, *vjp_rules):
-    """vjp_rules[i](ctx, out, parent_values, g) is the cotangent of operand
+    """vjp_rules[i](out, parent_values, g) is the cotangent of operand
     i; grad evaluates only the rules of operands that need a gradient."""
     _FORWARD[name] = forward
     _VJP[name] = vjp_rules
 
 
-def _matmul_vjp_a(ctx, out, pv, g):
+def _matmul_vjp_a(out, pv, g):
     a, b = pv
     if b.ndim == 2:
         return g @ b.T
@@ -85,7 +85,7 @@ def _matmul_vjp_a(ctx, out, pv, g):
     return g * b  # 1d @ 1d -> scalar
 
 
-def _matmul_vjp_b(ctx, out, pv, g):
+def _matmul_vjp_b(out, pv, g):
     a, b = pv
     if a.ndim == 2:
         return a.T @ g
@@ -94,24 +94,24 @@ def _matmul_vjp_b(ctx, out, pv, g):
     return g * a  # 1d @ 1d -> scalar
 
 
-_register("add", lambda ctx, a, b: a + b,
-          lambda ctx, out, pv, g: _unbroadcast(g, pv[0].shape),
-          lambda ctx, out, pv, g: _unbroadcast(g, pv[1].shape))
-_register("sub", lambda ctx, a, b: a - b,
-          lambda ctx, out, pv, g: _unbroadcast(g, pv[0].shape),
-          lambda ctx, out, pv, g: _unbroadcast(-g, pv[1].shape))
-_register("mul", lambda ctx, a, b: a * b,
-          lambda ctx, out, pv, g: _unbroadcast(g * pv[1], pv[0].shape),
-          lambda ctx, out, pv, g: _unbroadcast(g * pv[0], pv[1].shape))
-_register("tanh", lambda ctx, a: np.tanh(a),
-          lambda ctx, out, pv, g: g * (1.0 - out * out))
-_register("square", lambda ctx, a: a * a,
-          lambda ctx, out, pv, g: g * 2.0 * pv[0])
-_register("matmul", lambda ctx, a, b: a @ b, _matmul_vjp_a, _matmul_vjp_b)
-_register("sum", lambda ctx, a: np.sum(a),
-          lambda ctx, out, pv, g: np.full(pv[0].shape, float(g)))
-_register("mean", lambda ctx, a: np.mean(a),
-          lambda ctx, out, pv, g: np.full(pv[0].shape, float(g) / pv[0].size))
+_register("add", lambda a, b: a + b,
+          lambda out, pv, g: _unbroadcast(g, pv[0].shape),
+          lambda out, pv, g: _unbroadcast(g, pv[1].shape))
+_register("sub", lambda a, b: a - b,
+          lambda out, pv, g: _unbroadcast(g, pv[0].shape),
+          lambda out, pv, g: _unbroadcast(-g, pv[1].shape))
+_register("mul", lambda a, b: a * b,
+          lambda out, pv, g: _unbroadcast(g * pv[1], pv[0].shape),
+          lambda out, pv, g: _unbroadcast(g * pv[0], pv[1].shape))
+_register("tanh", np.tanh,
+          lambda out, pv, g: g * (1.0 - out * out))
+_register("square", lambda a: a * a,
+          lambda out, pv, g: g * 2.0 * pv[0])
+_register("matmul", lambda a, b: a @ b, _matmul_vjp_a, _matmul_vjp_b)
+_register("sum", np.sum,
+          lambda out, pv, g: np.full(pv[0].shape, float(g)))
+_register("mean", np.mean,
+          lambda out, pv, g: np.full(pv[0].shape, float(g) / pv[0].size))
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +127,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops = []        # (name, parent indices, ctx)
+        self._ops = []        # (name, parent indices)
         self._values = []     # computed float64 arrays
         self._requires = []   # does this node depend on any leaf?
         self._is_leaf = []
@@ -135,8 +135,8 @@ class Tape:
     def __len__(self):
         return len(self._ops)
 
-    def _push(self, name, parents, ctx, value, requires, is_leaf=False):
-        self._ops.append((name, parents, ctx))
+    def _push(self, name, parents, value, requires, is_leaf=False):
+        self._ops.append((name, parents))
         self._values.append(value)
         self._requires.append(requires)
         self._is_leaf.append(is_leaf)
@@ -144,13 +144,13 @@ class Tape:
 
     def leaf(self, value):
         """Record a differentiable input."""
-        return self._push("leaf", (), None, _f64(value), True, is_leaf=True)
+        return self._push("leaf", (), _f64(value), True, is_leaf=True)
 
     def constant(self, value):
         """Record a non-differentiable input."""
-        return self._push("const", (), None, _f64(value), False)
+        return self._push("const", (), _f64(value), False)
 
-    def apply(self, name, ctx, *operands):
+    def apply(self, name, *operands):
         operand_vars = []
         for x in operands:
             if isinstance(x, Var):
@@ -161,11 +161,11 @@ class Tape:
                 operand_vars.append(self.constant(x))
         values = [v.value for v in operand_vars]
         try:
-            out = _FORWARD[name](ctx, *values)
+            out = _FORWARD[name](*values)
         except ValueError as exc:
             raise ShapeMismatchError(f"{name}: {exc}") from exc
         requires = any(self._requires[v.index] for v in operand_vars)
-        return self._push(name, tuple(v.index for v in operand_vars), ctx,
+        return self._push(name, tuple(v.index for v in operand_vars),
                           _f64(out), requires)
 
 
@@ -207,19 +207,19 @@ def _tape_of(*xs):
 
 def add(a, b):
     if _is_var(a, b):
-        return _tape_of(a, b).apply("add", None, a, b)
+        return _tape_of(a, b).apply("add", a, b)
     return _f64(a) + _f64(b)
 
 
 def sub(a, b):
     if _is_var(a, b):
-        return _tape_of(a, b).apply("sub", None, a, b)
+        return _tape_of(a, b).apply("sub", a, b)
     return _f64(a) - _f64(b)
 
 
 def mul(a, b):
     if _is_var(a, b):
-        return _tape_of(a, b).apply("mul", None, a, b)
+        return _tape_of(a, b).apply("mul", a, b)
     return _f64(a) * _f64(b)
 
 
@@ -229,19 +229,19 @@ def neg(a):
 
 def matmul(a, b):
     if _is_var(a, b):
-        return _tape_of(a, b).apply("matmul", None, a, b)
+        return _tape_of(a, b).apply("matmul", a, b)
     return _f64(a) @ _f64(b)
 
 
 def tanh(a):
     if isinstance(a, Var):
-        return a.tape.apply("tanh", None, a)
+        return a.tape.apply("tanh", a)
     return np.tanh(_f64(a))
 
 
 def square(a):
     if isinstance(a, Var):
-        return a.tape.apply("square", None, a)
+        return a.tape.apply("square", a)
     a = _f64(a)
     return a * a
 
@@ -249,13 +249,13 @@ def square(a):
 def total(a):
     """Sum of all entries (named to avoid shadowing builtins at import sites)."""
     if isinstance(a, Var):
-        return a.tape.apply("sum", None, a)
+        return a.tape.apply("sum", a)
     return np.sum(_f64(a))
 
 
 def mean(a):
     if isinstance(a, Var):
-        return a.tape.apply("mean", None, a)
+        return a.tape.apply("mean", a)
     return np.mean(_f64(a))
 
 
@@ -288,7 +288,7 @@ def grad(output: Var, leaves: Sequence[Var]) -> dict:
         g = adjoint.pop(idx, None)
         if g is None:
             continue
-        name, parents, ctx = tape._ops[idx]
+        name, parents = tape._ops[idx]
         if name == "leaf":
             leaf_grads[idx] = g
             continue
@@ -298,7 +298,7 @@ def grad(output: Var, leaves: Sequence[Var]) -> dict:
         for p, rule in zip(parents, _VJP[name]):
             if not tape._requires[p]:
                 continue
-            pg = rule(ctx, tape._values[idx], parent_values, g)
+            pg = rule(tape._values[idx], parent_values, g)
             if p in adjoint:
                 adjoint[p] = adjoint[p] + pg
             else:

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import dataclasses
 import functools
@@ -23,7 +22,7 @@ from . import problems as pb
 from . import sampling as sp
 from . import solvers as sv
 from . import training as tr
-from .attacks import AttackConfig, attack_solution_error, project
+from .attacks import AttackConfig, project
 from .config import RunConfig, ValidationError, parse_config, write_config
 
 
@@ -107,6 +106,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _eval_datasets(rc: RunConfig, params, n_samples: int) -> ev.EvalDatasets:
+    """The clean and attacked pairs evaluate, attack and generate-data
+    score: sample i drawn at seed + EVAL_SEED_OFFSET + i."""
+    return ev.build_eval_datasets(rc.problem, params, n_samples, rc.attack,
+                                  rc.seed + EVAL_SEED_OFFSET,
+                                  eval_points=rc.eval_options.eval_points)
+
+
 def cmd_evaluate(args) -> int:
     keep_freed_memory()
     rc = _load_config(args.config)
@@ -116,17 +123,14 @@ def cmd_evaluate(args) -> int:
         "stable": _load_model(args.stable, rc),
     }
     opts = rc.eval_options
-    datasets = ev.build_eval_datasets(
-        rc.problem, models[opts.attack_model], opts.n_samples, rc.attack,
-        seed=rc.seed + EVAL_SEED_OFFSET, eval_points=opts.eval_points)
+    datasets = _eval_datasets(rc, models[opts.attack_model], opts.n_samples)
     report = ev.stability_report(models, datasets,
                                  spectral_functions=opts.spectral_functions,
                                  power_tol=opts.power_tol,
                                  power_max_iter=opts.power_max_iter)
     ev.write_summary_csv(os.path.join(out, "summary.csv"), report)
     ev.write_errors_csv(os.path.join(out, "errors.csv"), report)
-    ev.write_plot_data(out, rc.problem, report, datasets.y_grid,
-                       sample_ids=tuple(range(opts.plot_samples)))
+    ev.write_plot_data(out, report, sample_ids=tuple(range(opts.plot_samples)))
     for row in report.summary_rows:
         print(f"{row['experiment']:>16} {row['model']:>9} {row['dataset']:>10} "
               f"rel_l2={row['mean_rel_l2']:.4f} "
@@ -142,29 +146,20 @@ def cmd_attack(args) -> int:
     rc = _load_config(args.config)
     out = _ensure_outdir(rc)
     n = args.n_samples or min(rc.eval_options.n_samples, 20)
-    y_grid = pb.eval_grid(rc.problem, rc.eval_options.eval_points)
-    model = dn.on_grid(_load_model(args.checkpoint, rc), y_grid)
+    datasets = _eval_datasets(rc, _load_model(args.checkpoint, rc), n)
     trace_path = os.path.join(out, "attack_traces.csv")
     inputs_path = os.path.join(out, "attacked_inputs.csv")
-    with open(trace_path, "w", newline="") as tf, \
-            open(inputs_path, "w", newline="") as inf:
-        tw = csv.writer(tf)
-        tw.writerow(["sample_id", "iteration", "loss"])
-        iw = csv.writer(inf)
-        iw.writerow(["sample_id", "sensor_index", "x", "f", "f_tilde"])
-        for i in range(n):
-            sample = pb.sample_input(rc.problem,
-                                     rc.seed + EVAL_SEED_OFFSET + i)
-            u_true = ev.reference_solution(rc.problem, sample, y_grid)
-            f_tilde, trace = attack_solution_error(model, sample.values,
-                                                   u_true, y_grid, rc.attack)
-            for it, loss in enumerate(trace.loss_per_iter):
-                tw.writerow([i, it, repr(float(loss))])
-            xs = sample.sensor_xs
-            xcol = xs if xs.ndim == 1 else xs[:, 0]
-            for j in range(len(sample.values)):
-                iw.writerow([i, j, xcol[j], repr(sample.values[j]),
-                             repr(f_tilde[j])])
+    ev.write_csv(trace_path, ["sample_id", "iteration", "loss"],
+                 ([i, it, loss] for i, pair in enumerate(datasets.robustness)
+                  for it, loss in enumerate(pair.trace.loss_per_iter.tolist())))
+    xs = pb.sensor_grid(rc.problem)
+    x_col = (xs if xs.ndim == 1 else xs[:, 0]).tolist()
+    ev.write_csv(inputs_path, ["sample_id", "sensor_index", "x", "f", "f_tilde"],
+                 ([i, j, *cells] for i, (b, r) in enumerate(
+                     zip(datasets.base, datasets.robustness))
+                  for j, cells in enumerate(zip(
+                      x_col, b.sample.values.tolist(),
+                      r.sample.values.tolist()))))
     print(f"wrote {trace_path} and {inputs_path}")
     return 0
 
@@ -179,23 +174,20 @@ def cmd_jacobian(args) -> int:
     params = _load_model(args.checkpoint, rc)
     y_grid = pb.eval_grid(rc.problem, opts.eval_points)
     model = dn.on_grid(params, y_grid)
+    inputs = pb.sample_batch(rc.problem, rc.seed + EVAL_SEED_OFFSET,
+                             opts.spectral_functions)
+    estimates = [ev.jacobian_spectral_norm(params, f, y_grid,
+                                           tol=opts.power_tol,
+                                           max_iter=opts.power_max_iter,
+                                           model=model)
+                 for f in inputs]
     path = os.path.join(out, "jacobian_norms.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "spectral_norm", "iterations_used",
-                         "residual"])
-        norms = []
-        for i in range(opts.spectral_functions):
-            sample = pb.sample_input(rc.problem,
-                                     rc.seed + EVAL_SEED_OFFSET + i)
-            est = ev.jacobian_spectral_norm(params, sample.values, y_grid,
-                                            tol=opts.power_tol,
-                                            max_iter=opts.power_max_iter,
-                                            model=model)
-            norms.append(est.spectral_norm)
-            writer.writerow([i, repr(est.spectral_norm), est.iterations_used,
-                             repr(est.residual)])
-    print(f"mean spectral norm over {len(norms)} inputs: {np.mean(norms):.6g}")
+    ev.write_csv(path, ["sample_id", "spectral_norm", "iterations_used",
+                        "residual"],
+                 ([i, est.spectral_norm, est.iterations_used, est.residual]
+                  for i, est in enumerate(estimates)))
+    mean = np.mean([est.spectral_norm for est in estimates])
+    print(f"mean spectral norm over {len(estimates)} inputs: {mean:.6g}")
     print(f"wrote {path}")
     return 0
 
@@ -203,40 +195,25 @@ def cmd_jacobian(args) -> int:
 def cmd_generate_data(args) -> int:
     rc = _load_config(args.config)
     out = _ensure_outdir(rc)
-    params = _load_model(args.checkpoint, rc)
-    opts = rc.eval_options
-    datasets = ev.build_eval_datasets(rc.problem, params, opts.n_samples,
-                                      rc.attack,
-                                      seed=rc.seed + EVAL_SEED_OFFSET,
-                                      eval_points=opts.eval_points)
+    datasets = _eval_datasets(rc, _load_model(args.checkpoint, rc),
+                              rc.eval_options.n_samples)
     m = rc.problem.sensor_count
     for name, pairs in (("base", datasets.base),
                         ("robustness", datasets.robustness)):
-        with open(os.path.join(out, f"inputs_{name}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"f{j}" for j in range(m)]
-                            + ["kind", "seed", "length_scale"])
-            for pair in pairs:
-                meta = pair.sample.meta
-                writer.writerow([repr(v) for v in pair.sample.values]
-                                + [meta.get("kind", ""), meta.get("seed", ""),
-                                   meta.get("length_scale", "")])
-        with open(os.path.join(out, f"solutions_{name}.csv"), "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"u{j}" for j in range(len(datasets.y_grid))])
-            for pair in pairs:
-                writer.writerow([repr(v) for v in pair.u_true])
-    grid = datasets.y_grid
-    with open(os.path.join(out, "eval_grid.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if grid.ndim == 1:
-            writer.writerow(["x"])
-            writer.writerows([[x] for x in grid])
-        else:
-            writer.writerow(["x", "t"])
-            writer.writerows(grid.tolist())
-    print(f"wrote datasets for {opts.n_samples} samples -> {out}")
+        ev.write_csv(os.path.join(out, f"inputs_{name}.csv"),
+                     [f"f{j}" for j in range(m)]
+                     + ["kind", "seed", "length_scale"],
+                     (p.sample.values.tolist()
+                      + [p.sample.meta.get(key, "")
+                         for key in ("kind", "seed", "length_scale")]
+                      for p in pairs))
+        ev.write_csv(os.path.join(out, f"solutions_{name}.csv"),
+                     [f"u{j}" for j in range(len(datasets.y_grid))],
+                     (p.u_true.tolist() for p in pairs))
+    grid = datasets.y_grid.reshape(len(datasets.y_grid), -1)
+    ev.write_csv(os.path.join(out, "eval_grid.csv"),
+                 ["x", "t"][:grid.shape[1]], grid.tolist())
+    print(f"wrote datasets for {len(datasets.base)} samples -> {out}")
     return 0
 
 

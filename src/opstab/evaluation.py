@@ -18,7 +18,8 @@ import numpy as np
 
 from . import deeponet as dn
 from . import problems as pb
-from .attacks import AttackConfig, attack_solution_error, perturbation_norm
+from .attacks import (AttackConfig, AttackTrace, attack_solution_error,
+                      perturbation_norm)
 from .sampling import FunctionSample
 
 ERRORS_CSV_HEADER = ["experiment", "model", "dataset", "sample_id", "relative_l2"]
@@ -73,10 +74,12 @@ def reference_solution(problem: pb.ProblemSpec, sample: FunctionSample,
 
 @dataclass
 class EvalPair:
-    """One input function with its trusted solution on the grid."""
+    """One input function with its trusted solution on the grid; an
+    attacked pair also keeps the trace of the attack that made it."""
 
     sample: FunctionSample
     u_true: np.ndarray
+    trace: Optional[AttackTrace] = None
 
 
 @dataclass
@@ -89,8 +92,7 @@ class EvalDatasets:
 
 def build_eval_datasets(problem: pb.ProblemSpec, params: dn.DeepONetParams,
                         n_samples: int, attack: AttackConfig, seed: int,
-                        eval_points: Optional[int] = None,
-                        resolution: Optional[int] = None) -> EvalDatasets:
+                        eval_points: Optional[int] = None) -> EvalDatasets:
     """Stage 1 clean pairs, stage 2 evaluation attack, stage 3 re-solve.
 
     The attack climbs the squared error of `params` against the clean
@@ -103,11 +105,11 @@ def build_eval_datasets(problem: pb.ProblemSpec, params: dn.DeepONetParams,
     base, robustness = [], []
     for i in range(n_samples):
         sample = pb.sample_input(problem, seed + i)
-        u_true = reference_solution(problem, sample, y_grid, resolution)
+        u_true = reference_solution(problem, sample, y_grid)
         base.append(EvalPair(sample, u_true))
 
-        f_tilde, _ = attack_solution_error(model, sample.values, u_true,
-                                           y_grid, attack)
+        f_tilde, trace = attack_solution_error(model, sample.values, u_true,
+                                               y_grid, attack)
         resolved = attack.resolve_for(sample.values)
         violation = perturbation_norm(f_tilde, sample.values, resolved) \
             - resolved.epsilon
@@ -117,8 +119,8 @@ def build_eval_datasets(problem: pb.ProblemSpec, params: dn.DeepONetParams,
         tilde_sample = FunctionSample(sample.sensor_xs, f_tilde,
                                       dict(sample.meta, attacked=True,
                                            coeffs=None))
-        u_tilde = reference_solution(problem, tilde_sample, y_grid, resolution)
-        robustness.append(EvalPair(tilde_sample, u_tilde))
+        u_tilde = reference_solution(problem, tilde_sample, y_grid)
+        robustness.append(EvalPair(tilde_sample, u_tilde, trace))
     return EvalDatasets(problem, y_grid, base, robustness)
 
 
@@ -147,7 +149,6 @@ def jacobian_dense(model, f: np.ndarray, y_grid,
 
 def jacobian_spectral_norm(params: dn.DeepONetParams, f, y_grid,
                            tol: float = 1e-6, max_iter: int = 500,
-                           seed: int = 0,
                            model: Optional[dn.GridModel] = None) -> JacobianEstimate:
     """Power iteration on J^T J using only jvp/vjp products.
 
@@ -156,7 +157,7 @@ def jacobian_spectral_norm(params: dn.DeepONetParams, f, y_grid,
     """
     f = np.asarray(f, dtype=np.float64)[None, :]
     model = dn.on_grid(params if model is None else model, y_grid)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(f.size)
     v /= np.linalg.norm(v)
     estimate = 0.0
@@ -180,23 +181,15 @@ def jacobian_spectral_norm(params: dn.DeepONetParams, f, y_grid,
 # --------------------------------------------------------------------------
 
 @dataclass
-class EvalRecord:
-    """Everything about one evaluation sample, for tables and plot data."""
-
-    sample_id: int
-    f: np.ndarray
-    f_tilde: np.ndarray
-    u_true: np.ndarray
-    u_true_tilde: np.ndarray
-    predictions: dict  # (model, dataset) -> array
-    rel_l2: dict       # (model, dataset) -> float
-
-
-@dataclass
 class StabilityReport:
+    """summary_rows, plus per (model, dataset) every sample's prediction
+    and relative-L2 error, in the datasets' sample order."""
+
     experiment: str
     summary_rows: List[dict]
-    records: List[EvalRecord]
+    datasets: EvalDatasets
+    predictions: Dict[tuple, List[np.ndarray]]
+    rel_l2: Dict[tuple, List[float]]
 
 
 def stability_report(models: Dict[str, dn.DeepONetParams],
@@ -214,37 +207,34 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
     """
     problem = datasets.problem
     y_grid = datasets.y_grid
-    records = [
-        EvalRecord(i, b.sample.values, r.sample.values, b.u_true, r.u_true,
-                   {}, {})
-        for i, (b, r) in enumerate(zip(datasets.base, datasets.robustness))
-    ]
-    summary = []
+    pairs = {"base": datasets.base, "robustness": datasets.robustness}
+    predictions, rel_l2, summary = {}, {}, []
     for name, params in models.items():
         model = dn.on_grid(params, y_grid)
+        for dataset_name, dataset in pairs.items():
+            preds = [dn.forward(model, pair.sample.values, y_grid)
+                     for pair in dataset]
+            predictions[(name, dataset_name)] = preds
+            rel_l2[(name, dataset_name)] = [
+                relative_l2(pred, pair.u_true)
+                for pred, pair in zip(preds, dataset)]
         ratios = []
-        for rec in records:
-            pred_base = dn.forward(model, rec.f, y_grid)
-            pred_rob = dn.forward(model, rec.f_tilde, y_grid)
-            rec.predictions[(name, "base")] = pred_base
-            rec.predictions[(name, "robustness")] = pred_rob
-            rec.rel_l2[(name, "base")] = relative_l2(pred_base, rec.u_true)
-            rec.rel_l2[(name, "robustness")] = relative_l2(pred_rob,
-                                                           rec.u_true_tilde)
-            delta_in = np.linalg.norm(rec.f_tilde - rec.f)
+        for b, r, pred_base, pred_rob in zip(
+                datasets.base, datasets.robustness,
+                predictions[(name, "base")], predictions[(name, "robustness")]):
+            delta_in = np.linalg.norm(r.sample.values - b.sample.values)
             if delta_in > 0:
                 ratios.append(np.linalg.norm(pred_rob - pred_base) / delta_in)
         # no perturbed pair: the ratio is missing, not a perfectly stable one
         c_p50 = float(np.median(ratios)) if ratios else float("nan")
         c_p95 = float(np.percentile(ratios, 95)) if ratios else float("nan")
-        for dataset_name, pairs in (("base", datasets.base),
-                                    ("robustness", datasets.robustness)):
-            errors = [rec.rel_l2[(name, dataset_name)] for rec in records]
+        for dataset_name, dataset in pairs.items():
+            errors = rel_l2[(name, dataset_name)]
             norms = [jacobian_spectral_norm(params, pair.sample.values, y_grid,
                                             tol=power_tol,
                                             max_iter=power_max_iter,
                                             model=model).spectral_norm
-                     for pair in pairs[:spectral_functions]]
+                     for pair in dataset[:spectral_functions]]
             summary.append({
                 "experiment": problem.kind,
                 "model": name,
@@ -257,61 +247,64 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
                 "c_emp_p95": c_p95,
             })
         del model  # free this trunk before the next model's is built
-    return StabilityReport(problem.kind, summary, records)
+    return StabilityReport(problem.kind, summary, datasets, predictions, rel_l2)
 
 
 # --------------------------------------------------------------------------
 # CSV emission
 # --------------------------------------------------------------------------
 
-def write_summary_csv(path, report: StabilityReport) -> None:
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """header, then rows; cells are Python scalars (ndarray.tolist()),
+    never numpy scalars, whose repr is not a number."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_CSV_HEADER)
-        writer.writeheader()
-        for row in report.summary_rows:
-            writer.writerow({k: row[k] for k in SUMMARY_CSV_HEADER})
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_summary_csv(path, report: StabilityReport) -> None:
+    write_csv(path, SUMMARY_CSV_HEADER,
+              ([row[k] for k in SUMMARY_CSV_HEADER]
+               for row in report.summary_rows))
 
 
 def write_errors_csv(path, report: StabilityReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ERRORS_CSV_HEADER)
-        for rec in report.records:
-            for (model, dataset), err in sorted(rec.rel_l2.items()):
-                writer.writerow([report.experiment, model, dataset,
-                                 rec.sample_id, repr(err)])
+    keys = sorted(report.rel_l2)
+    write_csv(path, ERRORS_CSV_HEADER,
+              ([report.experiment, model, dataset, i,
+                report.rel_l2[(model, dataset)][i]]
+               for i in range(len(report.datasets.base))
+               for model, dataset in keys))
 
 
-def write_plot_data(out_dir, problem: pb.ProblemSpec, report: StabilityReport,
-                    y_grid: np.ndarray, sample_ids: Sequence[int] = (0, 1, 2),
-                    baseline: str = "baseline", stable: str = "stable") -> list:
+def write_plot_data(out_dir, report: StabilityReport,
+                    sample_ids: Sequence[int] = (0, 1, 2)) -> list:
     """One CSV per (sample, dataset): source panel plus both predictions.
 
     Rows follow the evaluation grid; for the base files f_tilde equals f
     and predictions are on clean inputs, for the robustness files they
     are on the attacked inputs against the re-solved truth.
     """
+    ds = report.datasets
     paths = []
-    grid_col = y_grid if y_grid.ndim == 1 else y_grid[:, 0]
+    grid_col = ds.y_grid if ds.y_grid.ndim == 1 else ds.y_grid[:, 0]
     # input functions interpolated onto the evaluation grid; built per
     # call, because the grid is a fresh array on every evaluate call
-    to_grid = pb.source_matrix(problem, y_grid)
-    for rec in report.records:
-        if rec.sample_id not in sample_ids:
+    to_grid = pb.source_matrix(ds.problem, ds.y_grid)
+    for i, (b, r) in enumerate(zip(ds.base, ds.robustness)):
+        if i not in sample_ids:
             continue
-        f_on_grid = to_grid @ rec.f
-        ftilde_on_grid = to_grid @ rec.f_tilde
-        for dataset, f_col, ft_col, truth in (
-                ("base", f_on_grid, f_on_grid, rec.u_true),
-                ("robustness", f_on_grid, ftilde_on_grid, rec.u_true_tilde)):
+        f_on_grid = to_grid @ b.sample.values
+        for dataset, ft_col, truth in (
+                ("base", f_on_grid, b.u_true),
+                ("robustness", to_grid @ r.sample.values, r.u_true)):
             path = os.path.join(
-                out_dir, f"plot_{problem.kind}_{rec.sample_id}_{dataset}.csv")
-            cols = (grid_col, f_col, ft_col, truth,
-                    rec.predictions[(baseline, dataset)],
-                    rec.predictions[(stable, dataset)])
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(PLOTDATA_CSV_HEADER)
-                writer.writerows(zip(*(c.tolist() for c in cols)))
+                out_dir, f"plot_{ds.problem.kind}_{i}_{dataset}.csv")
+            cols = (grid_col, f_on_grid, ft_col, truth,
+                    report.predictions[("baseline", dataset)][i],
+                    report.predictions[("stable", dataset)][i])
+            write_csv(path, PLOTDATA_CSV_HEADER,
+                      zip(*(c.tolist() for c in cols)))
             paths.append(path)
     return paths

@@ -448,6 +448,59 @@ class TestCliOther:
         assert header[:2] == ["f0", "f1"]
         assert header[-3:] == ["kind", "seed", "length_scale"]
 
+    def test_every_numeric_cell_parses_as_a_float(self, tmp_path):
+        # numpy >= 2 reprs a scalar as np.float64(...), which no CSV
+        # reader parses; every writer passes Python scalars
+        path, out = write_small_config(tmp_path)
+        base, stab = write_untrained_checkpoints(path)
+        config = ["--config", str(path)]
+        assert cli.main(["evaluate", *config, "--baseline", base,
+                         "--stable", stab]) == 0
+        for command in ("attack", "jacobian", "generate-data"):
+            assert cli.main([command, *config, "--checkpoint", stab]) == 0
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == sorted([
+            "summary.csv", "errors.csv", "plot_poisson1d_0_base.csv",
+            "plot_poisson1d_0_robustness.csv", "attack_traces.csv",
+            "attacked_inputs.csv", "jacobian_norms.csv", "inputs_base.csv",
+            "inputs_robustness.csv", "solutions_base.csv",
+            "solutions_robustness.csv", "eval_grid.csv"])
+        text = {"experiment", "model", "dataset", "kind"}
+        meta = {"seed", "length_scale"}  # empty when the sampler has none
+        for name in names:
+            rows = read_rows(out / name)
+            assert rows, name
+            for row in rows:
+                for column, cell in row.items():
+                    if column in text or (column in meta and cell == ""):
+                        continue
+                    float(cell)  # raises on anything but a number
+
+    def test_attack_writes_generate_data_attacked_inputs(self, tmp_path):
+        path, out = write_small_config(tmp_path)
+        _, stab = write_untrained_checkpoints(path)
+        config = ["--config", str(path), "--checkpoint", stab]
+        rc = parse_config(path)
+        n, m = rc.eval_options.n_samples, rc.problem.sensor_count
+        assert cli.main(["attack", *config, "--n-samples", str(n)]) == 0
+        assert cli.main(["generate-data", *config]) == 0
+        attacked = read_rows(out / "attacked_inputs.csv")
+        assert len(attacked) == n * m
+        for name, column in (("inputs_base.csv", "f"),
+                             ("inputs_robustness.csv", "f_tilde")):
+            rows = read_rows(out / name)
+            assert len(rows) == n
+            for i, row in enumerate(rows):
+                want = [row[f"f{j}"] for j in range(m)]
+                got = [r[column] for r in attacked[i * m:(i + 1) * m]]
+                assert [r["sample_id"] for r in attacked[i * m:(i + 1) * m]] \
+                    == [str(i)] * m
+                assert got == want
+        traces = read_rows(out / "attack_traces.csv")
+        assert [(r["sample_id"], r["iteration"]) for r in traces] == [
+            (str(i), str(it)) for i in range(n)
+            for it in range(rc.attack.n_iter)]
+
     def test_jacobian_scores_the_summary_inputs(self, tmp_path):
         path, out = write_small_config(tmp_path)
         path.write_text(path.read_text().replace("spectral_functions = 1",
