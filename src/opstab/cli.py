@@ -127,10 +127,11 @@ def cmd_evaluate(args) -> int:
     report = ev.stability_report(models, datasets,
                                  spectral_functions=opts.spectral_functions,
                                  power_tol=opts.power_tol,
-                                 power_max_iter=opts.power_max_iter)
+                                 power_max_iter=opts.power_max_iter,
+                                 plot_samples=opts.plot_samples)
     ev.write_summary_csv(os.path.join(out, "summary.csv"), report)
     ev.write_errors_csv(os.path.join(out, "errors.csv"), report)
-    ev.write_plot_data(out, report, sample_ids=tuple(range(opts.plot_samples)))
+    ev.write_plot_data(out, report)
     for row in report.summary_rows:
         print(f"{row['experiment']:>16} {row['model']:>9} {row['dataset']:>10} "
               f"rel_l2={row['mean_rel_l2']:.4f} "
@@ -152,7 +153,7 @@ def cmd_attack(args) -> int:
     ev.write_csv(trace_path, ["sample_id", "iteration", "loss"],
                  ([i, it, loss] for i, pair in enumerate(datasets.robustness)
                   for it, loss in enumerate(pair.trace.loss_per_iter.tolist())))
-    xs = pb.sensor_grid(rc.problem)
+    xs = rc.problem.sensors
     x_col = (xs if xs.ndim == 1 else xs[:, 0]).tolist()
     ev.write_csv(inputs_path, ["sample_id", "sensor_index", "x", "f", "f_tilde"],
                  ([i, j, *cells] for i, (b, r) in enumerate(
@@ -292,10 +293,10 @@ def _selftest_checks():
         exact = np.exp(-0.01 * np.pi ** 2 * t) * np.sin(np.pi * x)
         return np.abs(sol.values - exact).max() < 1e-4
 
-    def rk45_check():
+    def antiderivative_check():
         grid = np.linspace(0, 1, 50)
-        sol = sv.solve_ode_rk45(lambda x: np.cos(np.pi * x), grid)
-        return np.abs(sol.values - np.sin(np.pi * grid) / np.pi).max() < 1e-6
+        sol = sv.solve_antiderivative(sp.FunctionSample(grid, 2 * grid), grid)
+        return np.abs(sol.values - grid ** 2).max() < 1e-14
 
     def projection_check():
         cfg_inf = AttackConfig(epsilon=0.1, norm="linf", n_iter=0)
@@ -343,7 +344,7 @@ def _selftest_checks():
         ("poisson1d_solver_vs_analytic", poisson_solver_check),
         ("helmholtz_solver_vs_analytic", helmholtz_solver_check),
         ("heat_solver_vs_analytic", heat_solver_check),
-        ("rk45_vs_analytic", rk45_check),
+        ("antiderivative_vs_analytic", antiderivative_check),
         ("projection_properties", projection_check),
         ("jvp_vjp_consistency", jvp_vjp_check),
         ("power_iteration_vs_svd", power_iteration_check),

@@ -32,7 +32,16 @@ import numpy as np
 
 from . import autodiff as ad
 
-TRANSFORMS = ("none", "dirichlet_1d", "dirichlet_2d_space", "zero_ic_dirichlet_bc")
+# The output transforms. Each mask is a product of one polynomial factor
+# per constrained axis: "q" is y (1 - y), zero at both ends, and "t" is
+# y, zero at y = 0.
+MASK_FACTORS = {
+    "none": {},
+    "dirichlet_1d": {0: "q"},
+    "dirichlet_2d_space": {0: "q", 1: "q"},
+    "zero_ic_dirichlet_bc": {0: "q", 1: "t"},
+}
+TRANSFORMS = tuple(MASK_FACTORS)
 ACTIVATIONS = ("tanh",)
 
 
@@ -178,16 +187,6 @@ def hidden_jet(layers, coords_cols, first=(), laplacian=()) -> Jet:
     return Jet(h, d1, lap)
 
 
-# Each mask is a product of one polynomial factor per constrained axis:
-# "q" is y (1 - y), zero at both ends, and "t" is y, zero at y = 0.
-_MASK_FACTORS = {
-    "none": {},
-    "dirichlet_1d": {0: "q"},
-    "dirichlet_2d_space": {0: "q", 1: "q"},
-    "zero_ic_dirichlet_bc": {0: "q", 1: "t"},
-}
-
-
 def _mask_factor(kind, y, order):
     """The factor's value, first or second derivative at y."""
     if kind == "q":
@@ -200,7 +199,7 @@ def mask_jet(transform: str, coords_cols, first=(), laplacian=()):
     closed-form first derivatives along the axes in first or laplacian
     and its Laplacian over the axes in laplacian (a Jet of arrays), or
     None when the transform constrains nothing."""
-    factors = _MASK_FACTORS[transform]
+    factors = MASK_FACTORS[transform]
     if not factors:
         return None
 

@@ -182,8 +182,9 @@ def jacobian_spectral_norm(params: dn.DeepONetParams, f, y_grid,
 
 @dataclass
 class StabilityReport:
-    """summary_rows, plus per (model, dataset) every sample's prediction
-    and relative-L2 error, in the datasets' sample order."""
+    """summary_rows, plus per (model, dataset) the relative-L2 error of
+    every sample and the predictions of the first plot_samples samples,
+    in the datasets' sample order."""
 
     experiment: str
     summary_rows: List[dict]
@@ -196,14 +197,16 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
                      datasets: EvalDatasets,
                      spectral_functions: int = 10,
                      power_tol: float = 1e-6,
-                     power_max_iter: int = 500) -> StabilityReport:
+                     power_max_iter: int = 500,
+                     plot_samples: int = 3) -> StabilityReport:
     """Model x dataset error table plus stability diagnostics.
 
     For every model: mean relative-L2 on both datasets, mean Jacobian
     spectral norm over the first `spectral_functions` inputs of each
     dataset (nan when that is none), and quantiles of the empirical
     perturbation ratio ||G(f_tilde) - G(f)||_2 / ||f_tilde - f||_2 across
-    the sample pairs.
+    the sample pairs. Each (base, robustness) pair is scored in one pass;
+    only the first `plot_samples` pairs' predictions are kept.
     """
     problem = datasets.problem
     y_grid = datasets.y_grid
@@ -211,20 +214,19 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
     predictions, rel_l2, summary = {}, {}, []
     for name, params in models.items():
         model = dn.on_grid(params, y_grid)
-        for dataset_name, dataset in pairs.items():
-            preds = [dn.forward(model, pair.sample.values, y_grid)
-                     for pair in dataset]
-            predictions[(name, dataset_name)] = preds
-            rel_l2[(name, dataset_name)] = [
-                relative_l2(pred, pair.u_true)
-                for pred, pair in zip(preds, dataset)]
+        keys = [(name, dataset_name) for dataset_name in pairs]
+        for key in keys:
+            predictions[key], rel_l2[key] = [], []
         ratios = []
-        for b, r, pred_base, pred_rob in zip(
-                datasets.base, datasets.robustness,
-                predictions[(name, "base")], predictions[(name, "robustness")]):
+        for i, (b, r) in enumerate(zip(datasets.base, datasets.robustness)):
+            preds = [dn.forward(model, p.sample.values, y_grid) for p in (b, r)]
+            for key, pred, p in zip(keys, preds, (b, r)):
+                rel_l2[key].append(relative_l2(pred, p.u_true))
+                if i < plot_samples:
+                    predictions[key].append(pred)
             delta_in = np.linalg.norm(r.sample.values - b.sample.values)
             if delta_in > 0:
-                ratios.append(np.linalg.norm(pred_rob - pred_base) / delta_in)
+                ratios.append(np.linalg.norm(preds[1] - preds[0]) / delta_in)
         # no perturbed pair: the ratio is missing, not a perfectly stable one
         c_p50 = float(np.median(ratios)) if ratios else float("nan")
         c_p95 = float(np.percentile(ratios, 95)) if ratios else float("nan")
@@ -278,9 +280,9 @@ def write_errors_csv(path, report: StabilityReport) -> None:
                for model, dataset in keys))
 
 
-def write_plot_data(out_dir, report: StabilityReport,
-                    sample_ids: Sequence[int] = (0, 1, 2)) -> list:
-    """One CSV per (sample, dataset): source panel plus both predictions.
+def write_plot_data(out_dir, report: StabilityReport) -> list:
+    """One CSV per (sample, dataset) for every sample whose predictions
+    the report kept: source panel plus both predictions.
 
     Rows follow the evaluation grid; for the base files f_tilde equals f
     and predictions are on clean inputs, for the robustness files they
@@ -292,9 +294,8 @@ def write_plot_data(out_dir, report: StabilityReport,
     # input functions interpolated onto the evaluation grid; built per
     # call, because the grid is a fresh array on every evaluate call
     to_grid = pb.source_matrix(ds.problem, ds.y_grid)
-    for i, (b, r) in enumerate(zip(ds.base, ds.robustness)):
-        if i not in sample_ids:
-            continue
+    kept = len(report.predictions[("baseline", "base")])
+    for i, (b, r) in enumerate(zip(ds.base[:kept], ds.robustness)):
         f_on_grid = to_grid @ b.sample.values
         for dataset, ft_col, truth in (
                 ("base", f_on_grid, b.u_true),

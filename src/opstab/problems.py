@@ -60,6 +60,9 @@ class ProblemSpec:
     collocation_counts: tuple  # (interior, boundary, initial)
     constants: dict = field(default_factory=dict)
     sampler: SamplerSpec = SamplerSpec("grf")
+    # the kind's read-only sensor coordinates: (m,) in 1-d, (m, 2) on a
+    # 2-d grid; laid out from kind and sensor_count when the spec is built
+    sensors: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in REGISTRY:
@@ -69,7 +72,9 @@ class ProblemSpec:
                 raise ProblemError(f"{self.kind} requires constant {name!r}")
         if self.sensor_count < 1:
             raise ProblemError("sensor_count must be positive")
-        grid = sensor_grid(self)  # the layout rejects counts it cannot hold
+        grid = self.entry.sensors(self.sensor_count)  # rejects bad counts
+        grid.setflags(write=False)
+        object.__setattr__(self, "sensors", grid)
         sampler = self.sampler.kind
         if sampler not in SAMPLERS:
             raise ProblemError(f"sampler: unknown {sampler!r}")
@@ -130,35 +135,13 @@ def default_arch(problem: ProblemSpec, width: int = 128, depth: int = 3,
 
 @dataclass(frozen=True)
 class CollocationSet:
-    """Interior, boundary, and initial-time points for one problem."""
+    """Interior, boundary, and initial-time points for one problem, with
+    the source_matrix onto each block, keyed by block name."""
 
     interior: np.ndarray  # (n_int, d)
     boundary: np.ndarray  # (n_bc, d)
     initial: np.ndarray   # (n_ic, d)
-    _sources: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-
-    def source_matrix(self, problem: ProblemSpec, block: str) -> np.ndarray:
-        """source_matrix onto one block ("interior", "boundary" or
-        "initial"), built on first use and freed with this set."""
-        key = (problem.kind, problem.sensor_count, block)
-        if key not in self._sources:
-            self._sources[key] = source_matrix(problem, getattr(self, block))
-        return self._sources[key]
-
-
-_SENSOR_GRID_CACHE = {}
-
-
-def sensor_grid(problem: ProblemSpec) -> np.ndarray:
-    """The kind's sensor coordinates: (m,) in 1-d, (m, 2) on a 2-d grid."""
-    key = (problem.kind, problem.sensor_count)
-    grid = _SENSOR_GRID_CACHE.get(key)
-    if grid is None:
-        grid = problem.entry.sensors(problem.sensor_count)
-        grid.setflags(write=False)
-        _SENSOR_GRID_CACHE[key] = grid
-    return grid
+    sources: dict         # "interior"/"boundary"/"initial" -> (n, m)
 
 
 def _uniform_sensors(m: int) -> np.ndarray:
@@ -209,7 +192,9 @@ def make_collocation(problem: ProblemSpec) -> CollocationSet:
                                        np.zeros(n_ic)])
         else:
             initial = np.zeros((0, 2))
-    return CollocationSet(interior, boundary, initial)
+    blocks = dict(interior=interior, boundary=boundary, initial=initial)
+    return CollocationSet(**blocks, sources={
+        name: source_matrix(problem, points) for name, points in blocks.items()})
 
 
 def _draw_grf(spec: SamplerSpec, xs, seeds):
@@ -234,7 +219,7 @@ SAMPLERS = {
 def sample_input(problem: ProblemSpec, seed: int) -> FunctionSample:
     """One draw from the problem's input-function distribution: the
     one-seed case of sample_batch, with its provenance."""
-    spec, xs = problem.sampler, sensor_grid(problem)
+    spec, xs = problem.sampler, problem.sensors
     values, meta = SAMPLERS[spec.kind](spec, xs, [seed])
     meta = {"kind": spec.kind, "seed": seed, **meta}
     if "coeffs" in meta:
@@ -247,7 +232,7 @@ def sample_batch(problem: ProblemSpec, base_seed: int, n: int) -> np.ndarray:
     and equals sample_input(problem, base_seed + i).values."""
     spec = problem.sampler
     seeds = range(base_seed, base_seed + n)
-    return SAMPLERS[spec.kind](spec, sensor_grid(problem), seeds)[0]
+    return SAMPLERS[spec.kind](spec, problem.sensors, seeds)[0]
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +278,7 @@ def source_matrix(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
 
     On 1-d sensors the source depends on x (the first coordinate) only.
     """
-    xs = sensor_grid(problem)
+    xs = problem.sensors
     if xs.ndim == 2:
         return interp_matrix_2d(xs, points)
     return interp_matrix_1d(xs, points[:, 0] if points.ndim == 2 else points)
@@ -362,7 +347,7 @@ def _bitrig_coeffs_from_sensors(problem: ProblemSpec,
                                 values: np.ndarray) -> np.ndarray:
     """Invert the sine basis on the interior sensor grid."""
     modes = problem.sampler.modes
-    sensors = sensor_grid(problem)
+    sensors = problem.sensors
     basis = np.column_stack([
         (np.sin((r + 1) * np.pi * sensors[:, 0])
          * np.sin((s + 1) * np.pi * sensors[:, 1]))
@@ -422,7 +407,7 @@ REGISTRY = {entry.name: entry for entry in (
          transforms=("none",), coord_dim=1, eval_n=50,
          residual=Rule(_antiderivative_residual, first=(0,)),
          reference=lambda problem, sample, points, n:
-             sv.solve_ode_rk45(sample, points).values),
+             sv.solve_antiderivative(sample, points).values),
     Kind("poisson1d", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("poly3"), constants={},
          transforms=("none", "dirichlet_1d"), coord_dim=1, eval_n=100,
@@ -482,16 +467,6 @@ KINDS = tuple(REGISTRY)
 # loss assembly
 # --------------------------------------------------------------------------
 
-def _transform_enforces(transform: str):
-    """Loss components a hard-constraint transform already satisfies."""
-    return {
-        "none": (),
-        "dirichlet_1d": ("bc",),
-        "dirichlet_2d_space": ("bc",),
-        "zero_ic_dirichlet_bc": ("bc", "ic"),
-    }[transform]
-
-
 class LossBlocks:
     """The loss blocks of one model on one collocation set.
 
@@ -507,7 +482,9 @@ class LossBlocks:
     """
 
     def __init__(self, problem: ProblemSpec, params, colloc: CollocationSet):
-        enforced = _transform_enforces(params.arch.transform)
+        # a "q" mask factor vanishes on the boundary, a "t" one at t = 0
+        enforced = {{"q": "bc", "t": "ic"}[factor] for factor in
+                    dn.MASK_FACTORS[params.arch.transform].values()}
         entry = problem.entry
         self.problem = problem
         self.params = params
@@ -520,7 +497,7 @@ class LossBlocks:
                 continue
             model = dn.GridModel(params, points, rule.first, rule.laplacian)
             self.blocks.append((name, rule, model, points,
-                                colloc.source_matrix(problem, block)))
+                                colloc.sources[block]))
 
     def __call__(self, f_rows) -> dict:
         folded = dn.fold(self.params, f_rows)

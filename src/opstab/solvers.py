@@ -1,10 +1,11 @@
 """Classical reference solvers used as evaluation oracles.
 
-Each solver produces the trusted solution for one problem family:
-Dormand-Prince 5(4) for the antiderivative ODE, second-order finite
-differences for the elliptic problems, Crank-Nicolson for the heat
-equation, and implicit Euler with Picard iteration for the nonlinear
-diffusion-reaction equation. All are deterministic in their inputs.
+Each solver produces the trusted solution for one problem family: the
+exact integral of the interpolated input for the antiderivative ODE,
+second-order finite differences for the elliptic problems,
+Crank-Nicolson for the heat equation, and implicit Euler with Picard
+iteration for the nonlinear diffusion-reaction equation. All are
+deterministic in their inputs.
 """
 
 from __future__ import annotations
@@ -82,22 +83,19 @@ def _as_callable(f) -> Callable:
 # individual solvers
 # --------------------------------------------------------------------------
 
-def solve_ode_rk45(f, output_grid, atol: float = 1e-8, rtol: float = 1e-8,
-                   max_step: float = np.inf, first_step=None) -> GridSolution:
-    """u' = f on [0, 1] with u(0) = 0 via adaptive Dormand-Prince 5(4)."""
-    # imported here: scipy.integrate costs ~0.4 s to import, and only
-    # the antiderivative oracle needs it
-    from scipy.integrate import solve_ivp
-
-    fun = _as_callable(f)
-    grid = np.asarray(output_grid, dtype=np.float64)
-    t_span = (0.0, max(1.0, grid.max()))
-    sol = solve_ivp(lambda t, y: [fun(t)], t_span, [0.0], method="RK45",
-                    t_eval=grid, atol=atol, rtol=rtol, max_step=max_step,
-                    first_step=first_step)
-    if not sol.success:
-        raise SolverError(f"RK45 failed: {sol.message}")
-    return GridSolution(grid, sol.y[0])
+def solve_antiderivative(f: FunctionSample, points) -> GridSolution:
+    """u' = f, u(0) = 0, at points in [0, 1], for f the piecewise-linear
+    interpolant of sensor values on sensors spanning [0, 1]; exact: the
+    trapezoids up to each point's sensor interval, plus the part of that
+    interval below the point."""
+    xs, vals = f.sensor_xs, f.values
+    x = np.asarray(points, dtype=np.float64)
+    cum = np.concatenate(
+        [[0.0], np.cumsum(np.diff(xs) * (vals[:-1] + vals[1:]) / 2)])
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    dx = x - xs[i]
+    slope = (vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i])
+    return GridSolution(x, cum[i] + dx * (vals[i] + 0.5 * slope * dx))
 
 
 def _sample_on_grid(f, grid):

@@ -143,7 +143,7 @@ class TestDatasets:
         ds = ev.build_eval_datasets(prob, params, 3, attack, seed=70,
                                     eval_points=25)
         # brute-force operator matrix: sensor values -> solution on grid
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         grid = ds.y_grid
         columns = []
         for j in range(len(xs)):
@@ -182,7 +182,7 @@ class TestStabilityReport:
                                   collocation_counts=(10, 2, 0))
         grid = pb.eval_grid(prob, 10)
         from opstab.sampling import FunctionSample
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         f = FunctionSample(xs, np.sin(np.pi * xs))
         truth = np.linspace(0, 1, 10)
 
@@ -242,7 +242,7 @@ class TestStabilityReport:
                                     AttackConfig(epsilon=0.1, n_iter=2),
                                     seed=95, eval_points=12)
         rep = ev.stability_report({"baseline": baseline, "stable": stable},
-                                  ds, spectral_functions=1)
+                                  ds, spectral_functions=1, plot_samples=1)
         summary = tmp_path / "summary.csv"
         errors = tmp_path / "errors.csv"
         ev.write_summary_csv(summary, rep)
@@ -256,17 +256,42 @@ class TestStabilityReport:
         assert rows[0] == ev.ERRORS_CSV_HEADER
         assert len(rows) == 1 + 3 * 4
 
-        paths = ev.write_plot_data(tmp_path, rep, sample_ids=(0,))
+        paths = ev.write_plot_data(tmp_path, rep)
         assert len(paths) == 2
         with open(paths[0]) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ev.PLOTDATA_CSV_HEADER
         assert len(rows) == 1 + len(ds.y_grid)
 
+    def test_keeps_only_the_plotted_predictions(self, tmp_path):
+        prob = pb.default_problem("poisson1d", sensor_count=12,
+                                  collocation_counts=(10, 2, 0))
+        models = {"baseline": tiny_model(3), "stable": tiny_model(4)}
+        ds = ev.build_eval_datasets(prob, models["baseline"], 4,
+                                    AttackConfig(epsilon=0.1, n_iter=2),
+                                    seed=96, eval_points=12)
+        full = ev.stability_report(models, ds, spectral_functions=1,
+                                   plot_samples=4)
+        for k in (0, 2, 5):
+            rep = ev.stability_report(models, ds, spectral_functions=1,
+                                      plot_samples=k)
+            assert rep.summary_rows == full.summary_rows
+            assert rep.rel_l2 == full.rel_l2
+            assert set(rep.predictions) == set(full.predictions)
+            for key, preds in rep.predictions.items():
+                assert len(rep.rel_l2[key]) == 4
+                assert len(preds) == min(k, 4)
+                for pred, want in zip(preds, full.predictions[key]):
+                    assert np.array_equal(pred, want)
+            out = tmp_path / str(k)
+            out.mkdir()
+            assert len(ev.write_plot_data(out, rep)) == 2 * min(k, 4)
+
 
 # each kind's oracle called directly, with its constants
 ORACLES = {
-    "antiderivative": lambda c, s, grid, n: sv.solve_ode_rk45(s, grid).values,
+    "antiderivative": lambda c, s, grid, n:
+        sv.solve_antiderivative(s, grid).values,
     "poisson1d": lambda c, s, grid, n:
         sv.solve_poisson_1d_fd(s, n).eval_at(grid),
     "poisson2d": lambda c, s, grid, n:
@@ -310,7 +335,7 @@ class TestReferenceSolutions:
     def test_antiderivative_reference_is_integral(self):
         prob = pb.default_problem("antiderivative")
         from opstab.sampling import FunctionSample
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         sample = FunctionSample(xs, np.cos(np.pi * xs))
         grid = pb.eval_grid(prob)
         u = ev.reference_solution(prob, sample, grid)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ def zeroed(params):
 def sensor_subset(problem, count, seed=0):
     """Random points drawn from the sensor grid, where interpolation of the
     source is exact."""
-    xs = pb.sensor_grid(problem)
+    xs = problem.sensors
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(xs), size=count, replace=False)
     return xs[np.sort(idx)]
@@ -45,7 +47,7 @@ SINE_X = analytic(sin_x, first={1: lambda pts: np.zeros(len(pts))},
 class TestResidualOperators:
     def test_antiderivative_exact_pair(self):
         prob = pb.default_problem("antiderivative")
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         u = analytic(lambda pts: pts[:, 0] ** 2,
                      first={0: lambda pts: 2 * pts[:, 0]})
         res = physics_residual(prob, u, 2 * xs, np.linspace(0.05, 0.95, 100))
@@ -54,7 +56,7 @@ class TestResidualOperators:
 
     def test_poisson1d_trigonometric_pair(self):
         prob = pb.default_problem("poisson1d")
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         pts = sensor_subset(prob, 100)
         res = physics_residual(prob, SINE_X,
                                np.pi ** 2 * np.sin(np.pi * xs), pts)
@@ -62,7 +64,7 @@ class TestResidualOperators:
 
     def test_poisson2d_bitrig_pair(self):
         prob = pb.default_problem("poisson2d")
-        sensors = pb.sensor_grid(prob)
+        sensors = prob.sensors
         f_vals = np.sin(np.pi * sensors[:, 0]) * np.sin(np.pi * sensors[:, 1])
         rng = np.random.default_rng(1)
         pts = sensors[rng.choice(len(sensors), 100, replace=False)]
@@ -78,7 +80,7 @@ class TestResidualOperators:
 
     def test_helmholtz_pair(self):
         prob = pb.default_problem("helmholtz_neumann")
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         pts = sensor_subset(prob, 100, seed=3)
         res = physics_residual(
             prob, SINE_X, (2 + np.pi ** 2) * np.sin(np.pi * xs), pts)
@@ -86,7 +88,7 @@ class TestResidualOperators:
 
     def test_heat_source_steady_pair(self):
         prob = pb.default_problem("heat_source")
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         alpha = prob.constants["alpha"]
         rng = np.random.default_rng(4)
         pts = np.column_stack([
@@ -124,7 +126,7 @@ class TestResidualOperators:
         prob = pb.default_problem("diffrec_source")
         d = prob.constants["diffusion"]
         k = prob.constants["reaction"]
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         rng = np.random.default_rng(6)
         pts = np.column_stack([xs[rng.choice(len(xs), 50, replace=False)],
                                rng.uniform(0, 1, 50)])
@@ -139,7 +141,7 @@ class TestResidualOperators:
         # constant in t; expected value recomputed via numpy.interp
         prob = pb.default_problem("diffrec_coeff")
         d = prob.constants["diffusion"]
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         k_vals = 2.0 + xs  # any smooth coefficient profile
         rng = np.random.default_rng(7)
         pts = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)])
@@ -315,7 +317,7 @@ class TestAssembleLoss:
         prob = pb.default_problem("poisson1d")
         params = zeroed(dn.glorot_init(pb.default_arch(prob, width=8), 0))
         colloc = pb.make_collocation(prob)
-        f = FunctionSample(pb.sensor_grid(prob), np.zeros(100))
+        f = FunctionSample(prob.sensors, np.zeros(100))
         assert loss_terms(prob, params, [f], colloc) == (0.0, 0.0, 0.0, 0.0)
 
     def test_duplicated_batch_mean_semantics(self):
@@ -356,7 +358,7 @@ class TestAssembleLoss:
         samples = [pb.sample_input(prob, s) for s in range(2)]
         physics, bc, _, _ = loss_terms(prob, params, samples, colloc)
 
-        xs = pb.sensor_grid(prob)
+        xs = prob.sensors
         pts = colloc.interior[:, 0]
         h = 1e-4
         sq_res, sq_bc = [], []
@@ -383,6 +385,22 @@ class TestAssembleLoss:
         physics, bc, ic, _ = loss_terms(prob, params, [f], colloc)
         assert bc == 0.0 and ic == 0.0
         assert physics > 0.0
+
+    @pytest.mark.parametrize("kind,transform", KIND_TRANSFORMS)
+    def test_blocks_omit_what_the_transform_enforces(self, kind, transform):
+        enforced = {"none": set(), "dirichlet_1d": {"bc"},
+                    "dirichlet_2d_space": {"bc"},
+                    "zero_ic_dirichlet_bc": {"bc", "ic"}}[transform]
+        prob = pb.default_problem(kind)
+        colloc = pb.make_collocation(prob)
+        params = dn.glorot_init(pb.default_arch(prob, width=4,
+                                                transform=transform), 0)
+        names = [name for name, *_ in pb.LossBlocks(prob, params,
+                                                    colloc).blocks]
+        present = {"bc": len(colloc.boundary), "ic": len(colloc.initial)}
+        assert names == ["physics"] + [
+            name for name in ("bc", "ic")
+            if present[name] and name not in enforced]
 
 
 class TestCollocation:
@@ -417,6 +435,42 @@ class TestCollocation:
         assert np.array_equal(a.interior, b.interior)
         assert np.array_equal(a.boundary, b.boundary)
         assert np.array_equal(a.initial, b.initial)
+
+    @pytest.mark.parametrize("kind", pb.KINDS)
+    def test_sources_interpolate_onto_each_block(self, kind):
+        prob = pb.default_problem(kind)
+        colloc = pb.make_collocation(prob)
+        assert set(colloc.sources) == {"interior", "boundary", "initial"}
+        for block, mat in colloc.sources.items():
+            points = getattr(colloc, block)
+            assert mat.shape == (len(points), prob.sensor_count)
+            assert np.array_equal(mat, pb.source_matrix(prob, points))
+
+
+class TestProblemSpec:
+    def test_sensors_read_only_and_equal_across_specs_of_a_kind(self):
+        a = pb.default_problem("poisson1d")
+        b = pb.default_problem("poisson1d")
+        assert not a.sensors.flags.writeable
+        with pytest.raises(ValueError):
+            a.sensors[0] = 1.0
+        assert np.array_equal(a.sensors, b.sensors)
+        assert np.array_equal(a.sensors, np.linspace(0, 1, 100))
+        assert "sensors" not in repr(a)
+        # left out of equality: specs compare by what they were built from
+        object.__setattr__(b, "sensors", np.zeros(100))
+        assert a == b
+
+    def test_replace_lays_out_new_sensors(self):
+        prob = pb.default_problem("poisson2d")
+        assert prob.sensors.shape == (100, 2)
+        small = dataclasses.replace(prob, sensor_count=64)
+        assert small.sensors.shape == (64, 2)
+        axis = np.arange(1, 9) / 9
+        assert np.array_equal(np.unique(small.sensors[:, 0]), axis)
+        assert np.array_equal(np.unique(small.sensors[:, 1]), axis)
+        with pytest.raises(pb.ProblemError, match="square"):
+            dataclasses.replace(prob, sensor_count=50)
 
 
 class TestSamplers:
@@ -497,7 +551,7 @@ class TestInterpolation:
 
     def test_2d_exact_for_bilinear_functions(self):
         prob = pb.default_problem("poisson2d")
-        sensors = pb.sensor_grid(prob)
+        sensors = prob.sensors
         vals = 2 * sensors[:, 0] + 3 * sensors[:, 1]
         lo, hi = sensors.min(), sensors.max()
         pts = np.random.default_rng(3).uniform(lo, hi, size=(30, 2))

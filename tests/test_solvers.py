@@ -9,46 +9,35 @@ def slope(hs, errs):
     return np.polyfit(np.log(hs), np.log(errs), 1)[0]
 
 
-class TestRk45:
-    def test_unit_forcing(self):
+class TestAntiderivative:
+    def test_linear_forcing_exact(self):
+        xs = np.linspace(0, 1, 50)
+        grid = np.linspace(0, 1, 37)
+        sol = sv.solve_antiderivative(FunctionSample(xs, 2 * xs), grid)
+        assert np.abs(sol.values - grid ** 2).max() < 1e-14
+
+    def test_one_sensor_spike(self):
+        xs = np.linspace(0, 1, 50)
+        spike = np.zeros(50)
+        spike[25] = 1.0
         grid = np.linspace(0, 1, 50)
-        sol = sv.solve_ode_rk45(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                grid)
-        assert np.abs(sol.values - grid).max() < 1e-8
+        sol = sv.solve_antiderivative(FunctionSample(xs, spike), grid)
+        # the hat between sensors 24 and 26 has area 1/49
+        assert sol.values.max() == pytest.approx(1 / 49, rel=1e-14)
+        assert np.all(np.diff(sol.values) >= 0)
 
-    def test_zero_forcing(self):
-        grid = np.linspace(0, 1, 20)
-        sol = sv.solve_ode_rk45(lambda x: 0.0 * np.asarray(x, dtype=float), grid)
-        assert np.abs(sol.values).max() == 0.0
+    def test_matches_fine_step_integration(self):
+        from scipy.integrate import solve_ivp
 
-    def test_cosine_on_200_sensors_interpolation_limited(self):
-        xs = np.linspace(0, 1, 200)
-        sample = FunctionSample(xs, np.cos(np.pi * xs))
-        sol = sv.solve_ode_rk45(sample, np.linspace(0, 1, 50))
-        # exact antiderivative sin(pi x)/pi vanishes at 1
-        assert abs(sol.values[-1]) < 2e-4
-
-    def test_empirical_order_near_five(self):
-        # fixed-step runs via max_step with loose tolerances
-        exact = np.sin(3 * np.pi) / (3 * np.pi) - 0.0
-
-        def run(h):
-            sol = sv.solve_ode_rk45(lambda x: np.cos(3 * np.pi * x),
-                                    np.array([1.0]), atol=1e6, rtol=1e6,
-                                    max_step=h, first_step=h)
-            return abs(sol.values[-1] - exact)
-
-        hs = np.array([1 / 8, 1 / 16, 1 / 32])
-        errs = np.array([run(h) for h in hs])
-        assert abs(slope(hs, errs) - 5.0) < 0.5
-
-    def test_determinism(self):
-        xs = np.linspace(0, 1, 60)
-        sample = FunctionSample(xs, np.random.default_rng(0).standard_normal(60))
-        grid = np.linspace(0, 1, 30)
-        a = sv.solve_ode_rk45(sample, grid)
-        b = sv.solve_ode_rk45(sample, grid)
-        assert np.array_equal(a.values, b.values)
+        xs = np.linspace(0, 1, 50)
+        sample = FunctionSample(
+            xs, np.random.default_rng(0).standard_normal(50))
+        grid = np.linspace(0, 1, 23)
+        ivp = solve_ivp(lambda t, y: [np.interp(t, xs, sample.values)],
+                        (0.0, 1.0), [0.0], t_eval=grid, atol=1e-12,
+                        rtol=1e-12, max_step=0.25 / 49)
+        sol = sv.solve_antiderivative(sample, grid)
+        assert np.abs(sol.values - ivp.y[0]).max() < 1e-9
 
 
 class TestPoisson1d:
