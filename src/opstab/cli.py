@@ -82,7 +82,6 @@ def cmd_train(args) -> int:
         rc = dataclasses.replace(rc, mode=args.mode)
     out = _ensure_outdir(rc)
     write_config(os.path.join(out, "resolved_config.ini"), rc)
-    cfg = rc.train_config()
 
     sink_state = {"last": time.time()}
 
@@ -97,10 +96,9 @@ def cmd_train(args) -> int:
             print(f"step {entry.step} [{entry.phase}] total={entry.total:.3e}",
                   flush=True)
 
-    runner = tr.train if rc.mode == "stable" else tr.train_baseline
-    result = runner(cfg, progress_sink=sink)
+    result = tr.train(rc, progress_sink=sink)
     ckpt = os.path.join(out, f"checkpoint_{rc.mode}.npz")
-    dn.save_checkpoint(ckpt, result.params, rc.seed, cfg.steps)
+    dn.save_checkpoint(ckpt, result.params, rc.seed, rc.steps)
     tr.write_step_log(os.path.join(out, f"step_log_{rc.mode}.csv"), result.log)
     print(f"trained {rc.mode} model -> {ckpt}")
     return 0
@@ -211,9 +209,8 @@ def cmd_generate_data(args) -> int:
         ev.write_csv(os.path.join(out, f"solutions_{name}.csv"),
                      [f"u{j}" for j in range(len(datasets.y_grid))],
                      (p.u_true.tolist() for p in pairs))
-    grid = datasets.y_grid.reshape(len(datasets.y_grid), -1)
-    ev.write_csv(os.path.join(out, "eval_grid.csv"),
-                 ["x", "t"][:grid.shape[1]], grid.tolist())
+    ev.write_csv(os.path.join(out, "eval_grid.csv"), rc.problem.entry.axes,
+                 datasets.y_grid.reshape(len(datasets.y_grid), -1).tolist())
     print(f"wrote datasets for {len(datasets.base)} samples -> {out}")
     return 0
 

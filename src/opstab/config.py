@@ -21,7 +21,6 @@ from typing import Optional
 from . import problems as pb
 from .attacks import AttackConfig
 from .deeponet import ArchSpec
-from .training import TrainConfig
 
 
 class ValidationError(ValueError):
@@ -43,7 +42,7 @@ class EvalOptions:
 class RunConfig:
     problem: pb.ProblemSpec
     arch: ArchSpec
-    attack: AttackConfig = TrainConfig.attack
+    attack: AttackConfig = AttackConfig(epsilon=0.1, relative=True)
     eval_options: EvalOptions = EvalOptions()
     output_dir: str = "out"
     seed: int = 0
@@ -58,14 +57,23 @@ class RunConfig:
     adversarial_cadence: int = 2
     checkpoint_every: int = 0  # 0 means final checkpoint only
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            problem=self.problem, arch=self.arch, steps=self.steps,
-            batch_size=self.batch_size, learning_rate=self.learning_rate,
-            adam_betas=(self.adam_beta1, self.adam_beta2),
-            adam_eps=self.adam_eps, warmup_fraction=self.warmup_fraction,
-            adversarial_cadence=self.adversarial_cadence, attack=self.attack,
-            seed=self.seed)
+    def __post_init__(self):
+        if self.steps <= 0:
+            raise ValueError("steps must be positive")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.adversarial_cadence < 1:
+            raise ValueError("adversarial_cadence must be >= 1")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ValueError("warmup_fraction must lie in [0, 1]")
+        for name in ("adam_beta1", "adam_beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 def default_config(kind: str) -> RunConfig:
@@ -161,12 +169,10 @@ def _build(sections: dict) -> RunConfig:
         arch = pb.default_arch(problem, **sections["arch"])
     with _section("attack"):
         attack = AttackConfig(**sections["attack"])
-    rc = RunConfig(problem=problem, arch=arch, attack=attack,
-                   eval_options=EvalOptions(**sections["eval"]),
-                   **sections["run"], **sections["train"])
     with _section("train"):
-        rc.train_config()  # TrainConfig range-checks the [train] keys
-    return rc
+        return RunConfig(problem=problem, arch=arch, attack=attack,
+                         eval_options=EvalOptions(**sections["eval"]),
+                         **sections["run"], **sections["train"])
 
 
 def _cast(section, name, raw, default):

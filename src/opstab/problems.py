@@ -1,7 +1,7 @@
 """Problem definitions: residual operators, collocation layouts, losses.
 
 Each problem kind is one Kind entry in REGISTRY: its defaults, valid
-transforms, coordinate dimension, residual operator (built from exact
+transforms, coordinate axes, residual operator (built from exact
 network derivatives), boundary/initial penalty terms, sensor layout and
 reference oracle. The loss builders run identically on plain numpy
 arrays (fast evaluation, attacks) and on tape variables (training), so
@@ -10,6 +10,7 @@ the same code path is exercised everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -70,8 +71,6 @@ class ProblemSpec:
         for name in self.entry.constants:
             if name not in self.constants:
                 raise ProblemError(f"{self.kind} requires constant {name!r}")
-        if self.sensor_count < 1:
-            raise ProblemError("sensor_count must be positive")
         grid = self.entry.sensors(self.sensor_count)  # rejects bad counts
         grid.setflags(write=False)
         object.__setattr__(self, "sensors", grid)
@@ -100,7 +99,7 @@ class ProblemSpec:
 
     @property
     def coord_dim(self):
-        return self.entry.coord_dim
+        return len(self.entry.axes)
 
 
 def default_problem(kind: str, **overrides) -> ProblemSpec:
@@ -145,6 +144,9 @@ class CollocationSet:
 
 
 def _uniform_sensors(m: int) -> np.ndarray:
+    # piecewise-linear interpolation between sensors needs two of them
+    if m < 2:
+        raise ProblemError(f"sensor_count must be at least 2, got {m}")
     return np.linspace(0.0, 1.0, m)
 
 
@@ -152,10 +154,10 @@ def _interior_tensor_sensors(m: int) -> np.ndarray:
     """g x g interior tensor grid, x varying fastest: the sine basis is
     invertible there, so perturbed sensor values still determine an
     exact solution."""
-    g = int(round(np.sqrt(m)))
-    if g * g != m:
-        raise ProblemError(f"sensor_count {m} is not a square; the sensors "
-                           "form a g x g grid")
+    g = math.isqrt(max(m, 0))
+    if g < 2 or g * g != m:
+        raise ProblemError(f"sensor_count {m} is not a square of at least 4; "
+                           "the sensors form a g x g grid, g >= 2")
     axis = np.arange(1, g + 1) / (g + 1)
     gx, gy = np.meshgrid(axis, axis)
     return np.column_stack([gx.ravel(), gy.ravel()])
@@ -389,7 +391,7 @@ class Kind:
     sampler: SamplerSpec
     constants: dict  # name -> default; exactly the constants the kind takes
     transforms: tuple  # valid hard-constraint transforms, default first
-    coord_dim: int
+    axes: tuple  # coordinate names, one per trunk input
     eval_n: int  # default evaluation-grid points per axis
     residual: Rule
     reference: Callable
@@ -399,30 +401,31 @@ class Kind:
 
 
 _SPACE_TIME = dict(sensor_count=100, collocation_counts=(200, 40, 20),
-                   coord_dim=2, eval_n=100)
+                   axes=("x", "t"), eval_n=100)
 
 REGISTRY = {entry.name: entry for entry in (
     Kind("antiderivative", sensor_count=50, collocation_counts=(20, 0, 1),
          sampler=SamplerSpec("grf", length_scale=0.2), constants={},
-         transforms=("none",), coord_dim=1, eval_n=50,
+         transforms=("none",), axes=("x",), eval_n=50,
          residual=Rule(_antiderivative_residual, first=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_antiderivative(sample, points).values),
     Kind("poisson1d", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("poly3"), constants={},
-         transforms=("none", "dirichlet_1d"), coord_dim=1, eval_n=100,
+         transforms=("none", "dirichlet_1d"), axes=("x",), eval_n=100,
          residual=Rule(_poisson_residual, laplacian=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_poisson_1d_fd(sample, n).eval_at(points)),
     Kind("poisson2d", sensor_count=100, collocation_counts=(10000, 0, 0),
          sampler=SamplerSpec("bitrig", modes=10), constants={},
-         transforms=("dirichlet_2d_space", "none"), coord_dim=2, eval_n=100,
+         transforms=("dirichlet_2d_space", "none"), axes=("x", "y"),
+         eval_n=100,
          residual=Rule(_poisson_residual, laplacian=(0, 1)),
          reference=_poisson2d_reference,
          sensors=_interior_tensor_sensors),
     Kind("helmholtz_neumann", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("grf", length_scale=0.2),
-         constants={"shift": 2.0}, transforms=("none",), coord_dim=1,
+         constants={"shift": 2.0}, transforms=("none",), axes=("x",),
          eval_n=100, residual=Rule(_helmholtz_residual, laplacian=(0,)),
          boundary=_NEUMANN,
          reference=lambda problem, sample, points, n:

@@ -6,14 +6,14 @@ stretch of plain training, steps whose index is divisible by the
 cadence M replace the batch with PGD-perturbed counterparts before the
 gradient step, realizing the min-max objective: the attack maximizes
 the physics-informed loss, the optimizer minimizes it. The baseline
-model is the same loop with the attack disabled, so comparisons isolate
-the min-max component.
+model (`[run] mode = "baseline"`) is the same loop with the attack
+switched off: every step is a warmup step, so comparisons isolate the
+min-max component.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -21,9 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import deeponet as dn
 from . import problems as pb
-from .attacks import AttackConfig, attack_physics_loss_batch
-
-logger = logging.getLogger(__name__)
+from .attacks import attack_physics_loss_batch
+from .config import RunConfig
 
 STEP_LOG_HEADER = "step,phase,physics,bc,ic,total"
 
@@ -44,38 +43,6 @@ class NonFiniteLossError(TrainingError):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
         self.last_params = last_params
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    problem: pb.ProblemSpec
-    arch: dn.ArchSpec
-    steps: int
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    adam_betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    warmup_fraction: float = 0.2
-    adversarial_cadence: int = 2
-    attack: AttackConfig = AttackConfig(epsilon=0.1, relative=True)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps <= 0:
-            raise ValueError("steps must be positive")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.adversarial_cadence < 1:
-            raise ValueError("adversarial_cadence must be >= 1")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must lie in [0, 1]")
-        for name, beta in zip(("adam_beta1", "adam_beta2"), self.adam_betas):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 @dataclass
@@ -132,8 +99,9 @@ class TrainResult:
     log: List[StepLog]
 
 
-def _phase_for(step: int, config: TrainConfig) -> str:
-    if step <= config.warmup_fraction * config.steps:
+def _phase_for(step: int, config: RunConfig) -> str:
+    if (config.mode == "baseline"
+            or step <= config.warmup_fraction * config.steps):
         return "warmup"
     if step % config.adversarial_cadence == 0:
         return "adversarial"
@@ -148,7 +116,7 @@ def write_step_log(path, log) -> None:
                      f"{entry.bc!r},{entry.ic!r},{entry.total!r}\n")
 
 
-def train(config: TrainConfig, progress_sink: Optional[Callable] = None
+def train(config: RunConfig, progress_sink: Optional[Callable] = None
           ) -> TrainResult:
     """Run the full loop; deterministic in (config, seed).
 
@@ -163,7 +131,6 @@ def train(config: TrainConfig, progress_sink: Optional[Callable] = None
     arrays = [a for _, a in dn.param_items(params)]
     state = AdamState.init_like(arrays)
     colloc = pb.make_collocation(problem)
-    beta1, beta2 = config.adam_betas
     log: List[StepLog] = []
 
     for step in range(1, config.steps + 1):
@@ -191,8 +158,9 @@ def train(config: TrainConfig, progress_sink: Optional[Callable] = None
         # drop this step's tape before the next one is recorded
         del tape, lifted, leaves, terms, grads
         arrays, state = adam_step(arrays, grad_list, state,
-                                  config.learning_rate, beta1, beta2,
-                                  config.adam_eps, block_names=names)
+                                  config.learning_rate, config.adam_beta1,
+                                  config.adam_beta2, config.adam_eps,
+                                  block_names=names)
         params = dn.with_param_values(params, arrays)
 
         entry = StepLog(step, phase, physics, bc, ic, total)
@@ -201,9 +169,3 @@ def train(config: TrainConfig, progress_sink: Optional[Callable] = None
             progress_sink(entry, params)
 
     return TrainResult(params, log)
-
-
-def train_baseline(config: TrainConfig,
-                   progress_sink: Optional[Callable] = None) -> TrainResult:
-    """Plain physics-informed training: the loop with attacks disabled."""
-    return train(replace(config, warmup_fraction=1.0), progress_sink)

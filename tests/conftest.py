@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from opstab import deeponet as dn
 from opstab import problems as pb
 from opstab import training as tr
 from opstab.attacks import AttackConfig
+from opstab.config import RunConfig
 from opstab.sampling import FunctionSample
 
 
@@ -109,9 +112,9 @@ FLAGSHIP = {
 }
 
 
-def flagship_train_config(kind, seed):
+def flagship_config(kind, seed):
     prob = pb.default_problem(kind)
-    return tr.TrainConfig(
+    return RunConfig(
         problem=prob, arch=pb.default_arch(prob), batch_size=32, seed=seed,
         attack=AttackConfig(epsilon=0.1, relative=True, n_iter=20),
         **FLAGSHIP[kind])
@@ -125,6 +128,6 @@ def trained_poisson_baseline():
     the acceptance module (same configuration, so one training run
     serves all of them).
     """
-    cfg = flagship_train_config("poisson1d", seed=0)
-    result = tr.train_baseline(cfg)
+    cfg = flagship_config("poisson1d", seed=0)
+    result = tr.train(replace(cfg, mode="baseline"))
     return cfg.problem, result.params

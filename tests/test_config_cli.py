@@ -196,11 +196,12 @@ class TestConfigParsing:
         assert parse_config(path) == rc
 
     @pytest.mark.parametrize("kind", pb.KINDS)
-    def test_defaults_are_the_libraries_defaults(self, kind):
-        rc = default_config(kind)
+    def test_defaults_are_the_libraries_defaults(self, parse_text, kind):
+        # a config that sets only the kind gets every library default
+        # through _values and _build
         problem = pb.default_problem(kind)
-        assert rc.train_config() == tr.TrainConfig(
-            problem=problem, arch=pb.default_arch(problem), steps=rc.steps)
+        assert parse_text(f"[problem]\nkind = {kind}\n") == RunConfig(
+            problem=problem, arch=pb.default_arch(problem))
 
     def test_parsing_leaves_the_defaults_alone(self, parse_text):
         parse_text(SMALL_RUN.format(out="x", mode="baseline"))
@@ -228,6 +229,9 @@ OUT_OF_RANGE = [
     ("poisson1d", "run", "seed", "-1"),
     ("poisson1d", "run", "mode", "robust"),
     ("poisson2d", "problem", "sensor_count", "50"),
+    ("poisson2d", "problem", "sensor_count", "1"),
+    ("poisson1d", "problem", "sensor_count", "1"),
+    ("antiderivative", "problem", "sensor_count", "1"),
     ("poisson1d", "problem", "interior_points", "0"),
     ("poisson1d", "problem", "boundary_points", "3"),
     ("heat_source", "problem", "boundary_points", "3"),
@@ -278,6 +282,21 @@ def test_out_of_range_value_rejected_before_any_file(tmp_path, kind, section,
     assert f"[{section}] {key}" in str(err.value)
     assert cli.main(["train", "--config", str(path)]) == 1
     assert not out.exists()
+
+
+# the [train] rows RunConfig checks itself; parse_config bounds the rest
+TRAIN_RANGES = [row for row in OUT_OF_RANGE
+                if row[1] == "train" and row[2] != "checkpoint_every"]
+
+
+@pytest.mark.parametrize("kind,section,key,value", TRAIN_RANGES,
+                         ids=[f"{k}={v}" for _, _, k, v in TRAIN_RANGES])
+def test_run_config_rejects_out_of_range_train_value(kind, section, key,
+                                                     value):
+    rc = default_config(kind)
+    bad = type(getattr(rc, key))(value)
+    with pytest.raises(ValueError, match=key):
+        RunConfig(problem=rc.problem, arch=rc.arch, **{key: bad})
 
 
 def write_small_config(tmp_path, mode="stable", name="cfg.ini"):
@@ -382,15 +401,15 @@ class TestCliEvaluate:
         argv = ["evaluate", "--config", str(path), "--baseline", ckpt,
                 "--stable", ckpt]
         prob = pb.default_problem("poisson2d")
-        cfg = tr.TrainConfig(problem=prob, steps=1, batch_size=2,
-                             arch=pb.default_arch(prob, width=8, depth=2))
+        cfg = RunConfig(problem=prob, steps=1, batch_size=2, mode="baseline",
+                        arch=pb.default_arch(prob, width=8, depth=2))
         tracemalloc.start()
         try:
-            tr.train_baseline(cfg)  # first calls fill the import-time caches
+            tr.train(cfg)  # the first calls pay one-time costs (imports)
             assert cli.main(argv) == 0
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(2):
-                tr.train_baseline(cfg)
+                tr.train(cfg)
                 assert cli.main(argv) == 0
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -500,6 +519,24 @@ class TestCliOther:
         assert [(r["sample_id"], r["iteration"]) for r in traces] == [
             (str(i), str(it)) for i in range(n)
             for it in range(rc.attack.n_iter)]
+
+    @pytest.mark.parametrize("kind,sensors,header", [
+        ("poisson1d", 12, "x"), ("poisson2d", 16, "x,y"),
+        ("heat_source", 12, "x,t")])
+    def test_eval_grid_header_names_the_kinds_axes(self, tmp_path, kind,
+                                                   sensors, header):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[run]\noutput_dir = {tmp_path / 'out'}\n"
+                        f"[problem]\nkind = {kind}\nsensor_count = {sensors}\n"
+                        "[arch]\nwidth = 8\ndepth = 2\n"
+                        "[attack]\nn_iter = 1\n"
+                        "[eval]\nn_samples = 1\neval_points = 5\n")
+        _, stab = write_untrained_checkpoints(path)
+        assert cli.main(["generate-data", "--config", str(path),
+                         "--checkpoint", stab]) == 0
+        grid = (tmp_path / "out" / "eval_grid.csv").read_text().splitlines()
+        assert grid[0] == header
+        assert len(grid) == 1 + 5 ** len(header.split(","))
 
     def test_jacobian_scores_the_summary_inputs(self, tmp_path):
         path, out = write_small_config(tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from opstab import deeponet as dn
 from opstab import problems as pb
 from opstab import training as tr
 from opstab.attacks import AttackConfig
+from opstab.config import RunConfig
 
 
 def tiny_config(steps=20, seed=0, **kw):
@@ -15,7 +18,7 @@ def tiny_config(steps=20, seed=0, **kw):
                     seed=seed,
                     attack=AttackConfig(epsilon=0.1, relative=True, n_iter=3))
     defaults.update(kw)
-    return tr.TrainConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def params_equal(a, b):
@@ -99,15 +102,25 @@ class TestTrainLoop:
 
     def test_baseline_equals_warmup_one_bit_exactly(self):
         cfg = tiny_config(steps=20)
-        a = tr.train_baseline(cfg)
-        b = tr.train(tr.TrainConfig(**{**cfg.__dict__, "warmup_fraction": 1.0}))
+        a = tr.train(replace(cfg, mode="baseline"))
+        b = tr.train(replace(cfg, warmup_fraction=1.0))
         assert params_equal(a.params, b.params)
+        assert a.log == b.log
+
+    def test_baseline_never_calls_the_attack(self, monkeypatch):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("the baseline called the attack")
+
+        monkeypatch.setattr(tr, "attack_physics_loss_batch", no_attack)
+        res = tr.train(tiny_config(steps=10, mode="baseline",
+                                   warmup_fraction=0.0, adversarial_cadence=1))
+        assert [e.phase for e in res.log] == ["warmup"] * 10
 
     def test_zero_epsilon_attack_matches_baseline_trajectory(self):
         cfg = tiny_config(steps=20,
                           attack=AttackConfig(epsilon=0.0, n_iter=3))
         adv = tr.train(cfg)
-        base = tr.train_baseline(cfg)
+        base = tr.train(replace(cfg, mode="baseline"))
         assert params_equal(adv.params, base.params)
         assert [e.total for e in adv.log] == [e.total for e in base.log]
 
@@ -121,7 +134,7 @@ class TestTrainLoop:
         cfg = tiny_config()
         bad_arch = dn.ArchSpec((13, 8, 8), (1, 8, 8))
         with pytest.raises(ValueError):
-            tr.train(tr.TrainConfig(**{**cfg.__dict__, "arch": bad_arch}))
+            tr.train(replace(cfg, arch=bad_arch))
 
     def test_step_log_csv_round_trip(self, tmp_path):
         res = tr.train(tiny_config(steps=8))
