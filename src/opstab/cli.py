@@ -279,12 +279,12 @@ def _selftest_checks():
 
     def helmholtz_solver_check():
         sol = sv.solve_helmholtz_neumann_fd(
-            lambda x: (2 + np.pi ** 2) * np.cos(np.pi * x), 1001)
+            lambda x: (2 + np.pi ** 2) * np.cos(np.pi * x), 1001, 2.0)
         exact = np.cos(np.pi * np.linspace(0, 1, 1001))
         return np.abs(sol.values - exact).max() < 1e-4
 
     def heat_solver_check():
-        sol = sv.solve_heat_fd("heat_ic", lambda x: np.sin(np.pi * x),
+        sol = sv.solve_heat_fd(lambda x: np.sin(np.pi * x), np.zeros_like,
                                0.01, 201, 201)
         x, t = np.meshgrid(np.linspace(0, 1, 201), np.linspace(0, 1, 201))
         exact = np.exp(-0.01 * np.pi ** 2 * t) * np.sin(np.pi * x)
@@ -292,7 +292,7 @@ def _selftest_checks():
 
     def antiderivative_check():
         grid = np.linspace(0, 1, 50)
-        sol = sv.solve_antiderivative(sp.FunctionSample(grid, 2 * grid), grid)
+        sol = sv.solve_antiderivative(grid, 2 * grid, grid)
         return np.abs(sol.values - grid ** 2).max() < 1e-14
 
     def projection_check():

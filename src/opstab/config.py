@@ -27,6 +27,16 @@ class ValidationError(ValueError):
     """Configuration failed validation; message names the offender."""
 
 
+_CHOICES = {("run", "mode"): ("stable", "baseline"),
+            ("eval", "attack_model"): ("baseline", "stable")}
+
+
+def _check_choice(name, value, choices):
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {'|'.join(choices)}, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class EvalOptions:
     n_samples: int = 200
@@ -36,6 +46,10 @@ class EvalOptions:
     power_max_iter: int = 500
     attack_model: str = "baseline"
     plot_samples: int = 3
+
+    def __post_init__(self):
+        _check_choice("attack_model", self.attack_model,
+                      _CHOICES["eval", "attack_model"])
 
 
 @dataclass(frozen=True)
@@ -58,6 +72,7 @@ class RunConfig:
     checkpoint_every: int = 0  # 0 means final checkpoint only
 
     def __post_init__(self):
+        _check_choice("mode", self.mode, _CHOICES["run", "mode"])
         if self.steps <= 0:
             raise ValueError("steps must be positive")
         if self.batch_size <= 0:
@@ -100,9 +115,6 @@ _BOUNDS = {("run", "seed"): (">=", 0),
            ("eval", "power_max_iter"): (">=", 1),
            ("eval", "plot_samples"): (">=", 0)}
 _COMPARE = {">=": operator.ge, ">": operator.gt}
-
-_CHOICES = {("run", "mode"): ("stable", "baseline"),
-            ("eval", "attack_model"): ("baseline", "stable")}
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
              "false": False, "no": False, "0": False, "off": False}
@@ -214,10 +226,8 @@ def parse_config(path) -> RunConfig:
             raise ValidationError(
                 f"[{section}] {name} must be {op} {bound}, got {value}")
     for (section, name), choices in _CHOICES.items():
-        value = values[section][name]
-        if value not in choices:
-            raise ValidationError(f"[{section}] {name} must be one of "
-                                  f"{'|'.join(choices)}, got {value!r}")
+        with _section(section):
+            _check_choice(name, values[section][name], choices)
     return _build(values)
 
 

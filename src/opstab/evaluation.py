@@ -201,9 +201,9 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
                      plot_samples: int = 3) -> StabilityReport:
     """Model x dataset error table plus stability diagnostics.
 
-    For every model: mean relative-L2 on both datasets, mean Jacobian
-    spectral norm over the first `spectral_functions` inputs of each
-    dataset (nan when that is none), and quantiles of the empirical
+    For every model: mean relative-L2 over each dataset's samples, mean
+    Jacobian spectral norm over the first `spectral_functions` of them
+    (each nan when that is none), and quantiles of the empirical
     perturbation ratio ||G(f_tilde) - G(f)||_2 / ||f_tilde - f||_2 across
     the sample pairs. Each (base, robustness) pair is scored in one pass;
     only the first `plot_samples` pairs' predictions are kept.
@@ -241,8 +241,8 @@ def stability_report(models: Dict[str, dn.DeepONetParams],
                 "experiment": problem.kind,
                 "model": name,
                 "dataset": dataset_name,
-                "mean_rel_l2": float(np.mean(errors)) if errors else 0.0,
-                # no norm taken is missing, not a perfectly flat model
+                # no sample (no norm) is missing, not a perfect (flat) model
+                "mean_rel_l2": float(np.mean(errors)) if errors else np.nan,
                 "mean_spectral_norm": (float(np.mean(norms)) if norms
                                        else float("nan")),
                 "c_emp_p50": c_p50,

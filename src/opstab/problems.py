@@ -331,10 +331,15 @@ def _diffrec_source_residual(jet, source, c, points):
     return ad.sub(ad.sub(diffusion, react), source)
 
 
+def _diffrec_coeff_forcing(x):
+    return np.sin(np.pi * x)
+
+
 def _diffrec_coeff_residual(jet, source, c, points):
     diffusion = ad.sub(jet.first[1], ad.mul(c["diffusion"], jet.lap))
     react = ad.mul(source, ad.square(jet.u))
-    return ad.sub(ad.add(diffusion, react), np.sin(np.pi * points[:, 0]))
+    return ad.sub(ad.add(diffusion, react),
+                  _diffrec_coeff_forcing(points[:, 0]))
 
 
 # u = 0 there
@@ -366,9 +371,9 @@ def _poisson2d_reference(problem, sample, points, n):
     return sv.solve_poisson_2d_analytic(coeffs, points).values
 
 
-def _heat_reference(problem, sample, points, n):
-    return sv.solve_heat_fd(problem.kind, sample, problem.constants["alpha"],
-                            n, n).eval_at(points)
+def _interpolant(sample):
+    """x -> the piecewise-linear interpolant of a 1-d sample's values."""
+    return lambda x: np.interp(x, sample.sensor_xs, sample.values)
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +387,8 @@ class Kind:
     residual, boundary and initial are the Rules of the interior
     residual and the boundary and initial-condition mismatches.
     reference(problem, sample, points, n) is the classical oracle at
-    resolution n. sensors(sensor_count) lays out the sensors.
+    resolution n: it hands a solvers function the profiles of the kind's
+    own equation. sensors(sensor_count) lays out the sensors.
     """
 
     name: str
@@ -408,14 +414,14 @@ REGISTRY = {entry.name: entry for entry in (
          sampler=SamplerSpec("grf", length_scale=0.2), constants={},
          transforms=("none",), axes=("x",), eval_n=50,
          residual=Rule(_antiderivative_residual, first=(0,)),
-         reference=lambda problem, sample, points, n:
-             sv.solve_antiderivative(sample, points).values),
+         reference=lambda problem, sample, points, n: sv.solve_antiderivative(
+             sample.sensor_xs, sample.values, points).values),
     Kind("poisson1d", sensor_count=100, collocation_counts=(100, 2, 0),
          sampler=SamplerSpec("poly3"), constants={},
          transforms=("none", "dirichlet_1d"), axes=("x",), eval_n=100,
          residual=Rule(_poisson_residual, laplacian=(0,)),
          reference=lambda problem, sample, points, n:
-             sv.solve_poisson_1d_fd(sample, n).eval_at(points)),
+             sv.solve_poisson_1d_fd(_interpolant(sample), n).eval_at(points)),
     Kind("poisson2d", sensor_count=100, collocation_counts=(10000, 0, 0),
          sampler=SamplerSpec("bitrig", modes=10), constants={},
          transforms=("dirichlet_2d_space", "none"), axes=("x", "y"),
@@ -430,19 +436,24 @@ REGISTRY = {entry.name: entry for entry in (
          boundary=_NEUMANN,
          reference=lambda problem, sample, points, n:
              sv.solve_helmholtz_neumann_fd(
-                 sample, n, shift=problem.constants["shift"]).eval_at(points)),
+                 _interpolant(sample), n,
+                 problem.constants["shift"]).eval_at(points)),
     Kind("heat_ic", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=1.0),
          constants={"alpha": 0.01}, transforms=("none",),
          residual=Rule(_heat_ic_residual, first=(1,), laplacian=(0,)),
          initial=_EQUALS_INPUT,
-         reference=_heat_reference),
+         reference=lambda problem, sample, points, n: sv.solve_heat_fd(
+             _interpolant(sample), np.zeros_like, problem.constants["alpha"],
+             n, n).eval_at(points)),
     Kind("heat_source", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"alpha": 0.01},
          transforms=("none", "zero_ic_dirichlet_bc"),
          residual=Rule(_heat_source_residual, first=(1,), laplacian=(0,)),
-         reference=_heat_reference),
+         reference=lambda problem, sample, points, n: sv.solve_heat_fd(
+             np.zeros_like, _interpolant(sample), problem.constants["alpha"],
+             n, n).eval_at(points)),
     Kind("diffrec_source", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=0.2),
          constants={"diffusion": 0.01, "reaction": 0.01},
@@ -450,8 +461,9 @@ REGISTRY = {entry.name: entry for entry in (
          residual=Rule(_diffrec_source_residual, first=(1,), laplacian=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_diffusion_reaction(
-                 sample, "source", problem.constants["diffusion"],
-                 problem.constants["reaction"], n, n).eval_at(points)),
+                 _interpolant(sample),
+                 lambda x: np.full_like(x, problem.constants["reaction"]),
+                 problem.constants["diffusion"], n, n).eval_at(points)),
     Kind("diffrec_coeff", **_SPACE_TIME,
          sampler=SamplerSpec("grf", length_scale=1.4, rescale=(1.0, 5.0)),
          constants={"diffusion": 0.01},
@@ -459,8 +471,8 @@ REGISTRY = {entry.name: entry for entry in (
          residual=Rule(_diffrec_coeff_residual, first=(1,), laplacian=(0,)),
          reference=lambda problem, sample, points, n:
              sv.solve_diffusion_reaction(
-                 sample, "coefficient", problem.constants["diffusion"], 0.0,
-                 n, n).eval_at(points)),
+                 _diffrec_coeff_forcing, lambda x: -_interpolant(sample)(x),
+                 problem.constants["diffusion"], n, n).eval_at(points)),
 )}
 
 KINDS = tuple(REGISTRY)

@@ -1,11 +1,12 @@
 """Classical reference solvers used as evaluation oracles.
 
-Each solver produces the trusted solution for one problem family: the
-exact integral of the interpolated input for the antiderivative ODE,
-second-order finite differences for the elliptic problems,
-Crank-Nicolson for the heat equation, and implicit Euler with Picard
-iteration for the nonlinear diffusion-reaction equation. All are
-deterministic in their inputs.
+Each solver solves one family of equations for the profiles it is
+handed (callables of x): the exact integral of a piecewise-linear input,
+second-order finite differences for the elliptic equations,
+Crank-Nicolson for the linear heat equation, and implicit Euler with
+Picard iteration for the quadratic diffusion-reaction equation. None
+knows a problem kind; each problems.REGISTRY entry hands its oracle the
+profiles of its own equation. All are deterministic in their inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .sampling import FunctionSample, bitrig_values
+from .sampling import bitrig_values
 
 
 class SolverError(RuntimeError):
@@ -69,37 +70,22 @@ def _bilinear(x_axis, t_axis, values, pts):
             + wt * ((1 - wx) * v10 + wx * v11))
 
 
-def _as_callable(f) -> Callable:
-    """Accept a FunctionSample (linearly interpolated) or a callable."""
-    if callable(f):
-        return f
-    if isinstance(f, FunctionSample):
-        xs, vals = f.sensor_xs, f.values
-        return lambda x: np.interp(x, xs, vals)
-    raise TypeError("expected FunctionSample or callable forcing")
-
-
 # --------------------------------------------------------------------------
 # individual solvers
 # --------------------------------------------------------------------------
 
-def solve_antiderivative(f: FunctionSample, points) -> GridSolution:
+def solve_antiderivative(xs, values, points) -> GridSolution:
     """u' = f, u(0) = 0, at points in [0, 1], for f the piecewise-linear
-    interpolant of sensor values on sensors spanning [0, 1]; exact: the
+    interpolant of values on sensors xs spanning [0, 1]; exact: the
     trapezoids up to each point's sensor interval, plus the part of that
     interval below the point."""
-    xs, vals = f.sensor_xs, f.values
     x = np.asarray(points, dtype=np.float64)
     cum = np.concatenate(
-        [[0.0], np.cumsum(np.diff(xs) * (vals[:-1] + vals[1:]) / 2)])
+        [[0.0], np.cumsum(np.diff(xs) * (values[:-1] + values[1:]) / 2)])
     i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     dx = x - xs[i]
-    slope = (vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i])
-    return GridSolution(x, cum[i] + dx * (vals[i] + 0.5 * slope * dx))
-
-
-def _sample_on_grid(f, grid):
-    return _as_callable(f)(grid)
+    slope = (values[i + 1] - values[i]) / (xs[i + 1] - xs[i])
+    return GridSolution(x, cum[i] + dx * (values[i] + 0.5 * slope * dx))
 
 
 def _tridiagonal_solver(lower, diag, upper) -> Callable:
@@ -126,17 +112,14 @@ def solve_poisson_1d_fd(f, n_grid: int) -> GridSolution:
         raise ValueError("need n_grid >= 3")
     x = np.linspace(0.0, 1.0, n_grid)
     h = x[1] - x[0]
-    rhs = _sample_on_grid(f, x[1:-1]) * h * h
-    ni = n_grid - 2
-    lower = np.full(ni - 1, -1.0)
-    upper = np.full(ni - 1, -1.0)
-    diag = np.full(ni, 2.0)
+    rhs = f(x[1:-1]) * h * h
+    off = np.full(n_grid - 3, -1.0)
     u = np.zeros(n_grid)
-    u[1:-1] = _tridiagonal_solver(lower, diag, upper)(rhs)
+    u[1:-1] = _tridiagonal_solver(off, np.full(n_grid - 2, 2.0), off)(rhs)
     return GridSolution(x, u)
 
 
-def solve_helmholtz_neumann_fd(f, n_grid: int, shift: float = 2.0) -> GridSolution:
+def solve_helmholtz_neumann_fd(f, n_grid: int, shift: float) -> GridSolution:
     """-u'' + shift*u = f on [0, 1] with u'(0) = u'(1) = 0.
 
     Second-order interior stencil with ghost-point closure of the Neumann
@@ -152,9 +135,7 @@ def solve_helmholtz_neumann_fd(f, n_grid: int, shift: float = 2.0) -> GridSoluti
     upper = np.full(n_grid - 1, -inv_h2)
     upper[0] = -2.0 * inv_h2
     lower[-1] = -2.0 * inv_h2
-    rhs = _sample_on_grid(f, x)
-    u = _tridiagonal_solver(lower, diag, upper)(rhs)
-    return GridSolution(x, u)
+    return GridSolution(x, _tridiagonal_solver(lower, diag, upper)(f(x)))
 
 
 def solve_poisson_2d_analytic(coeffs, grid) -> GridSolution:
@@ -172,32 +153,25 @@ def solve_poisson_2d_analytic(coeffs, grid) -> GridSolution:
     return GridSolution(pts, bitrig_values(scaled[None], pts)[0])
 
 
-def solve_heat_fd(problem_kind: str, f, alpha: float, nx: int, nt: int,
+def solve_heat_fd(initial, source, alpha: float, nx: int, nt: int,
                   t_final: float = 1.0) -> GridSolution:
-    """u_t = alpha u_xx (+ f(x)) on [0,1] x [0,t_final], zero Dirichlet BC.
+    """u_t = alpha u_xx + source(x) on [0,1] x [0,t_final], u = initial(x)
+    at t = 0, zero Dirichlet BC.
 
-    problem_kind "heat_ic": initial condition f, no source.
-    problem_kind "heat_source": zero initial condition, source f(x).
     Crank-Nicolson stepping, second order in space and time.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if problem_kind not in ("heat_ic", "heat_source"):
-        raise ValueError(f"unknown heat problem kind {problem_kind!r}")
     x = np.linspace(0.0, 1.0, nx)
     t = np.linspace(0.0, t_final, nt)
     h = x[1] - x[0]
     dt = t[1] - t[0]
-    profile = _sample_on_grid(f, x)
-    if problem_kind == "heat_ic":
-        u0, src = profile, np.zeros(nx)
-    else:
-        u0, src = np.zeros(nx), profile
+    src = source(x)
     r = alpha * dt / (h * h)
     off = np.full(nx - 3, -0.5 * r)
     solve = _tridiagonal_solver(off, np.full(nx - 2, 1.0 + r), off)
     values = np.zeros((nt, nx))
-    values[0, 1:-1] = u0[1:-1]
+    values[0, 1:-1] = initial(x)[1:-1]
     for n in range(1, nt):
         u = values[n - 1]
         values[n, 1:-1] = solve(u[1:-1] + 0.5 * r * (u[:-2] - 2.0 * u[1:-1] + u[2:])
@@ -205,14 +179,12 @@ def solve_heat_fd(problem_kind: str, f, alpha: float, nx: int, nt: int,
     return GridSolution((x, t), values)
 
 
-def solve_diffusion_reaction(f_or_k, mode: str, diffusion: float,
-                             k_const: float, nx: int, nt: int,
-                             picard_tol: float = 1e-10,
+def solve_diffusion_reaction(forcing, reaction, diffusion: float, nx: int,
+                             nt: int, picard_tol: float = 1e-10,
                              max_picard: int = 50) -> GridSolution:
-    """Nonlinear diffusion-reaction on [0,1] x [0,1], zero IC and BC.
+    """u_t = D u_xx + reaction(x) u^2 + forcing(x) on [0,1] x [0,1], zero
+    IC and BC, D = diffusion.
 
-    mode "source":      u_t = D u_xx + k_const u^2 + f(x)
-    mode "coefficient": u_t = D u_xx - k(x) u^2 + sin(pi x)
     Implicit Euler in time with the quadratic term frozen at the previous
     Picard iterate each step; a step's iteration stops once the max-norm
     change of the iterate drops below picard_tol, and PicardError names
@@ -222,24 +194,15 @@ def solve_diffusion_reaction(f_or_k, mode: str, diffusion: float,
     t = np.linspace(0.0, 1.0, nt)
     h = x[1] - x[0]
     dt = t[1] - t[0]
-    profile = _sample_on_grid(f_or_k, x)
-    if mode == "source":
-        forcing, kprofile, ksign = profile, np.full(nx, k_const), 1.0
-    elif mode == "coefficient":
-        forcing, kprofile, ksign = np.sin(np.pi * x), profile, -1.0
-    else:
-        raise ValueError(f"unknown diffusion-reaction mode {mode!r}")
     s = diffusion * dt / (h * h)
     off = np.full(nx - 3, -s)
     solve = _tridiagonal_solver(off, np.full(nx - 2, 1.0 + 2.0 * s), off)
-    react = ksign * kprofile[1:-1]
-    forcing = forcing[1:-1]
+    react, forced = reaction(x)[1:-1], forcing(x)[1:-1]
     values = np.zeros((nt, nx))
     for n in range(1, nt):
-        u = values[n - 1, 1:-1]
-        prev = u
+        u = prev = values[n - 1, 1:-1]
         for _ in range(max_picard):
-            inner = solve(u + dt * (react * prev * prev + forcing))
+            inner = solve(u + dt * (react * prev * prev + forced))
             delta = np.max(np.abs(inner - prev))
             prev = inner
             if delta < picard_tol:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -297,6 +298,18 @@ def test_run_config_rejects_out_of_range_train_value(kind, section, key,
     bad = type(getattr(rc, key))(value)
     with pytest.raises(ValueError, match=key):
         RunConfig(problem=rc.problem, arch=rc.arch, **{key: bad})
+
+
+def test_library_configs_reject_an_unknown_choice():
+    # the library path builds these without parse_config: a misspelled
+    # mode must not train adversarially under another name
+    rc = default_config("poisson1d")
+    with pytest.raises(ValueError, match=re.escape(
+            "mode must be one of stable|baseline, got 'stabel'")):
+        dataclasses.replace(rc, mode="stabel")
+    with pytest.raises(ValueError, match=re.escape(
+            "attack_model must be one of baseline|stable, got 'robust'")):
+        EvalOptions(attack_model="robust")
 
 
 def write_small_config(tmp_path, mode="stable", name="cfg.ini"):

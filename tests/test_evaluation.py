@@ -219,6 +219,18 @@ class TestStabilityReport:
             assert np.isnan(row["c_emp_p50"]) and np.isnan(row["c_emp_p95"])
             assert np.isfinite(row["mean_spectral_norm"])
 
+    def test_no_samples_gives_nan_means(self):
+        # an empty evaluation is missing, not a perfect model
+        prob = pb.default_problem("poisson1d", sensor_count=12,
+                                  collocation_counts=(10, 2, 0))
+        ds = ev.EvalDatasets(prob, pb.eval_grid(prob, 10), [], [])
+        rep = ev.stability_report({"m": tiny_model(m=12)}, ds)
+        assert len(rep.summary_rows) == 2
+        for row in rep.summary_rows:
+            for field in ("mean_rel_l2", "mean_spectral_norm", "c_emp_p50",
+                          "c_emp_p95"):
+                assert np.isnan(row[field])
+
     def test_model_order_only_permutes_rows(self):
         prob = pb.default_problem("poisson1d", sensor_count=12,
                                   collocation_counts=(10, 2, 0))
@@ -288,24 +300,37 @@ class TestStabilityReport:
             assert len(ev.write_plot_data(out, rep)) == 2 * min(k, 4)
 
 
-# each kind's oracle called directly, with its constants
+def interpolant(s):
+    return lambda x: np.interp(x, s.sensor_xs, s.values)
+
+
+# each kind's oracle called directly, with its constants and its own
+# equation's profiles spelled out: heat's initial and source,
+# diffusion-reaction's forcing and reaction (u_t = D u_xx + reaction u^2
+# + forcing)
 ORACLES = {
     "antiderivative": lambda c, s, grid, n:
-        sv.solve_antiderivative(s, grid).values,
+        sv.solve_antiderivative(s.sensor_xs, s.values, grid).values,
     "poisson1d": lambda c, s, grid, n:
-        sv.solve_poisson_1d_fd(s, n).eval_at(grid),
+        sv.solve_poisson_1d_fd(interpolant(s), n).eval_at(grid),
     "poisson2d": lambda c, s, grid, n:
         sv.solve_poisson_2d_analytic(s.meta["coeffs"], grid).values,
-    "helmholtz_neumann": lambda c, s, grid, n:
-        sv.solve_helmholtz_neumann_fd(s, n, shift=c["shift"]).eval_at(grid),
-    "heat_ic": lambda c, s, grid, n:
-        sv.solve_heat_fd("heat_ic", s, c["alpha"], n, n).eval_at(grid),
-    "heat_source": lambda c, s, grid, n:
-        sv.solve_heat_fd("heat_source", s, c["alpha"], n, n).eval_at(grid),
+    "helmholtz_neumann": lambda c, s, grid, n: sv.solve_helmholtz_neumann_fd(
+        interpolant(s), n, c["shift"]).eval_at(grid),
+    "heat_ic": lambda c, s, grid, n: sv.solve_heat_fd(
+        initial=interpolant(s), source=np.zeros_like, alpha=c["alpha"],
+        nx=n, nt=n).eval_at(grid),
+    "heat_source": lambda c, s, grid, n: sv.solve_heat_fd(
+        initial=np.zeros_like, source=interpolant(s), alpha=c["alpha"],
+        nx=n, nt=n).eval_at(grid),
     "diffrec_source": lambda c, s, grid, n: sv.solve_diffusion_reaction(
-        s, "source", c["diffusion"], c["reaction"], n, n).eval_at(grid),
+        forcing=interpolant(s),
+        reaction=lambda x: np.full_like(x, c["reaction"]),
+        diffusion=c["diffusion"], nx=n, nt=n).eval_at(grid),
     "diffrec_coeff": lambda c, s, grid, n: sv.solve_diffusion_reaction(
-        s, "coefficient", c["diffusion"], 0.0, n, n).eval_at(grid),
+        forcing=lambda x: np.sin(np.pi * x),
+        reaction=lambda x: -interpolant(s)(x),
+        diffusion=c["diffusion"], nx=n, nt=n).eval_at(grid),
 }
 
 

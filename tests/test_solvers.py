@@ -1,19 +1,31 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from opstab import problems as pb
 from opstab import solvers as sv
-from opstab.sampling import FunctionSample
 
 
 def slope(hs, errs):
     return np.polyfit(np.log(hs), np.log(errs), 1)[0]
 
 
+def interpolant(xs, values):
+    return lambda x: np.interp(x, xs, values)
+
+
+def constant(c):
+    return lambda x: np.full_like(x, c)
+
+
 class TestAntiderivative:
     def test_linear_forcing_exact(self):
         xs = np.linspace(0, 1, 50)
         grid = np.linspace(0, 1, 37)
-        sol = sv.solve_antiderivative(FunctionSample(xs, 2 * xs), grid)
+        sol = sv.solve_antiderivative(xs, 2 * xs, grid)
         assert np.abs(sol.values - grid ** 2).max() < 1e-14
 
     def test_one_sensor_spike(self):
@@ -21,7 +33,7 @@ class TestAntiderivative:
         spike = np.zeros(50)
         spike[25] = 1.0
         grid = np.linspace(0, 1, 50)
-        sol = sv.solve_antiderivative(FunctionSample(xs, spike), grid)
+        sol = sv.solve_antiderivative(xs, spike, grid)
         # the hat between sensors 24 and 26 has area 1/49
         assert sol.values.max() == pytest.approx(1 / 49, rel=1e-14)
         assert np.all(np.diff(sol.values) >= 0)
@@ -30,13 +42,12 @@ class TestAntiderivative:
         from scipy.integrate import solve_ivp
 
         xs = np.linspace(0, 1, 50)
-        sample = FunctionSample(
-            xs, np.random.default_rng(0).standard_normal(50))
+        values = np.random.default_rng(0).standard_normal(50)
         grid = np.linspace(0, 1, 23)
-        ivp = solve_ivp(lambda t, y: [np.interp(t, xs, sample.values)],
+        ivp = solve_ivp(lambda t, y: [np.interp(t, xs, values)],
                         (0.0, 1.0), [0.0], t_eval=grid, atol=1e-12,
                         rtol=1e-12, max_step=0.25 / 49)
-        sol = sv.solve_antiderivative(sample, grid)
+        sol = sv.solve_antiderivative(xs, values, grid)
         assert np.abs(sol.values - ivp.y[0]).max() < 1e-9
 
 
@@ -54,12 +65,10 @@ class TestPoisson1d:
     def test_superposition(self):
         xs = np.linspace(0, 1, 80)
         rng = np.random.default_rng(1)
-        f1 = FunctionSample(xs, rng.standard_normal(80))
-        f2 = FunctionSample(xs, rng.standard_normal(80))
-        both = FunctionSample(xs, f1.values + f2.values)
-        s1 = sv.solve_poisson_1d_fd(f1, 201).values
-        s2 = sv.solve_poisson_1d_fd(f2, 201).values
-        s12 = sv.solve_poisson_1d_fd(both, 201).values
+        v1, v2 = rng.standard_normal(80), rng.standard_normal(80)
+        s1 = sv.solve_poisson_1d_fd(interpolant(xs, v1), 201).values
+        s2 = sv.solve_poisson_1d_fd(interpolant(xs, v2), 201).values
+        s12 = sv.solve_poisson_1d_fd(interpolant(xs, v1 + v2), 201).values
         assert np.abs(s12 - (s1 + s2)).max() < 1e-12
 
     def test_second_order_convergence(self):
@@ -79,31 +88,31 @@ class TestPoisson1d:
 
 class TestHelmholtzNeumann:
     def test_constant_solution(self):
-        sol = sv.solve_helmholtz_neumann_fd(lambda x: 2 * np.ones_like(x), 101)
+        sol = sv.solve_helmholtz_neumann_fd(lambda x: 2 * np.ones_like(x),
+                                            101, 2.0)
         assert np.abs(sol.values - 1.0).max() < 1e-12
 
     def test_cosine_solution(self):
         sol = sv.solve_helmholtz_neumann_fd(
-            lambda x: (2 + np.pi ** 2) * np.cos(np.pi * x), 1001)
+            lambda x: (2 + np.pi ** 2) * np.cos(np.pi * x), 1001, 2.0)
         exact = np.cos(np.pi * np.linspace(0, 1, 1001))
         assert np.abs(sol.values - exact).max() <= 1e-4
 
     def test_linearity(self):
         xs = np.linspace(0, 1, 70)
         rng = np.random.default_rng(2)
-        f1 = FunctionSample(xs, rng.standard_normal(70))
-        f2 = FunctionSample(xs, rng.standard_normal(70))
-        both = FunctionSample(xs, f1.values + f2.values)
-        s12 = sv.solve_helmholtz_neumann_fd(both, 201).values
-        s1 = sv.solve_helmholtz_neumann_fd(f1, 201).values
-        s2 = sv.solve_helmholtz_neumann_fd(f2, 201).values
+        v1, v2 = rng.standard_normal(70), rng.standard_normal(70)
+        s12 = sv.solve_helmholtz_neumann_fd(interpolant(xs, v1 + v2), 201,
+                                            2.0).values
+        s1 = sv.solve_helmholtz_neumann_fd(interpolant(xs, v1), 201, 2.0).values
+        s2 = sv.solve_helmholtz_neumann_fd(interpolant(xs, v2), 201, 2.0).values
         assert np.abs(s12 - (s1 + s2)).max() < 1e-12
 
     def test_second_order_convergence(self):
         errs, hs = [], []
         for n in (51, 101, 201):
             sol = sv.solve_helmholtz_neumann_fd(
-                lambda x: (2 + np.pi ** 2) * np.cos(np.pi * x), n)
+                lambda x: (2 + np.pi ** 2) * np.cos(np.pi * x), n, 2.0)
             exact = np.cos(np.pi * np.linspace(0, 1, n))
             errs.append(np.abs(sol.values - exact).max())
             hs.append(1 / (n - 1))
@@ -140,37 +149,32 @@ class TestPoisson2dAnalytic:
 
 class TestHeat:
     def test_ic_mode_matches_separated_solution(self):
-        sol = sv.solve_heat_fd("heat_ic", lambda x: np.sin(np.pi * x),
+        sol = sv.solve_heat_fd(lambda x: np.sin(np.pi * x), np.zeros_like,
                                0.01, 401, 401)
         x, t = np.meshgrid(np.linspace(0, 1, 401), np.linspace(0, 1, 401))
         exact = np.exp(-0.01 * np.pi ** 2 * t) * np.sin(np.pi * x)
         assert np.abs(sol.values - exact).max() <= 1e-4
 
     def test_source_mode_zero_forcing(self):
-        sol = sv.solve_heat_fd("heat_source", lambda x: np.zeros_like(x),
-                               0.01, 101, 101)
+        sol = sv.solve_heat_fd(np.zeros_like, np.zeros_like, 0.01, 101, 101)
         assert np.abs(sol.values).max() == 0.0
 
     def test_long_time_reaches_elliptic_steady_state(self):
         f = lambda x: 0.01 * np.sin(np.pi * x)
-        sol = sv.solve_heat_fd("heat_source", f, 0.01, 201, 2001, t_final=50.0)
+        sol = sv.solve_heat_fd(np.zeros_like, f, 0.01, 201, 2001, t_final=50.0)
         steady = sv.solve_poisson_1d_fd(lambda x: f(x) / 0.01, 201)
         assert np.abs(sol.values[-1] - steady.values).max() < 1e-3
 
     def test_second_order_convergence(self):
         errs, hs = [], []
         for n in (51, 101, 201):
-            sol = sv.solve_heat_fd("heat_ic", lambda x: np.sin(np.pi * x),
+            sol = sv.solve_heat_fd(lambda x: np.sin(np.pi * x), np.zeros_like,
                                    0.01, n, n)
             x, t = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n))
             exact = np.exp(-0.01 * np.pi ** 2 * t) * np.sin(np.pi * x)
             errs.append(np.abs(sol.values - exact).max())
             hs.append(1 / (n - 1))
         assert abs(slope(np.array(hs), np.array(errs)) - 2.0) < 0.3
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            sv.solve_heat_fd("heat_xyz", lambda x: x, 0.01, 11, 11)
 
 
 def dense_tridiagonal(off, diag, n):
@@ -190,7 +194,7 @@ def dense_crank_nicolson(u0, src, r, dt, nt):
     return out
 
 
-def dense_picard(forcing, kprofile, ksign, diffusion, dt, nt, h, tol=1e-10):
+def dense_picard(forcing, reaction, diffusion, dt, nt, h, tol=1e-10):
     """Reference march: implicit Euler plus Picard, dense solves."""
     nx = len(forcing)
     s = diffusion * dt / (h * h)
@@ -200,7 +204,7 @@ def dense_picard(forcing, kprofile, ksign, diffusion, dt, nt, h, tol=1e-10):
         u = out[n - 1, 1:-1]
         prev = u
         for _ in range(50):
-            rhs = u + dt * (ksign * kprofile[1:-1] * prev * prev + forcing[1:-1])
+            rhs = u + dt * (reaction[1:-1] * prev * prev + forcing[1:-1])
             inner = np.linalg.solve(a, rhs)
             done = np.max(np.abs(inner - prev)) < tol
             prev = inner
@@ -210,34 +214,41 @@ def dense_picard(forcing, kprofile, ksign, diffusion, dt, nt, h, tol=1e-10):
     return out
 
 
+def bump(x):
+    return np.sin(np.pi * x) + 0.5 * x
+
+
+def ramp(x):
+    return 1.0 + 4.0 * x
+
+
 class TestBandedMarches:
     """The LAPACK tridiagonal marches against dense solves at nx = 21."""
 
     nx = 21
     x = np.linspace(0.0, 1.0, nx)
 
-    @pytest.mark.parametrize("kind", ["heat_ic", "heat_source"])
-    def test_crank_nicolson(self, kind):
-        f = lambda x: np.sin(np.pi * x) + 0.5 * x
+    @pytest.mark.parametrize("initial,source", [(bump, np.zeros_like),
+                                                (np.zeros_like, bump)],
+                             ids=["heat_ic", "heat_source"])
+    def test_crank_nicolson(self, initial, source):
         alpha, nt = 0.05, 31
-        sol = sv.solve_heat_fd(kind, f, alpha, self.nx, nt)
-        profile, zero = f(self.x), np.zeros(self.nx)
-        u0, src = (profile, zero) if kind == "heat_ic" else (zero, profile)
+        sol = sv.solve_heat_fd(initial, source, alpha, self.nx, nt)
         dt, h = 1.0 / (nt - 1), 1.0 / (self.nx - 1)
-        want = dense_crank_nicolson(u0, src, alpha * dt / h ** 2, dt, nt)
+        want = dense_crank_nicolson(initial(self.x), source(self.x),
+                                    alpha * dt / h ** 2, dt, nt)
         assert np.abs(sol.values - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("mode", ["source", "coefficient"])
-    def test_implicit_euler_picard(self, mode):
-        f = lambda x: 1.0 + 4.0 * x
+    @pytest.mark.parametrize(
+        "forcing,reaction",
+        [(ramp, constant(0.5)),
+         (lambda x: np.sin(np.pi * x), lambda x: -ramp(x))],
+        ids=["source", "coefficient"])
+    def test_implicit_euler_picard(self, forcing, reaction):
         nt = 31
-        sol = sv.solve_diffusion_reaction(f, mode, 0.02, 0.5, self.nx, nt)
-        if mode == "source":
-            forcing, kprofile, ksign = f(self.x), np.full(self.nx, 0.5), 1.0
-        else:
-            forcing, kprofile, ksign = np.sin(np.pi * self.x), f(self.x), -1.0
-        want = dense_picard(forcing, kprofile, ksign, 0.02, 1.0 / (nt - 1), nt,
-                            1.0 / (self.nx - 1))
+        sol = sv.solve_diffusion_reaction(forcing, reaction, 0.02, self.nx, nt)
+        want = dense_picard(forcing(self.x), reaction(self.x), 0.02,
+                            1.0 / (nt - 1), nt, 1.0 / (self.nx - 1))
         assert np.abs(sol.values - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["poisson1d", "helmholtz_neumann"])
@@ -251,22 +262,23 @@ class TestBandedMarches:
             got = sv.solve_poisson_1d_fd(f, self.nx).values[1:-1]
             want = np.linalg.solve(lap[1:-1, 1:-1], f(self.x[1:-1]))
         else:
-            got = sv.solve_helmholtz_neumann_fd(f, self.nx, shift=2.0).values
+            got = sv.solve_helmholtz_neumann_fd(f, self.nx, 2.0).values
             lap[0, 1] = lap[-1, -2] = -2.0 * inv_h2  # ghost-point closure
             want = np.linalg.solve(lap + 2.0 * np.eye(self.nx), f(self.x))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_picard_error_names_the_failed_step(self):
         with pytest.raises(sv.PicardError, match="time step 1$") as err:
-            sv.solve_diffusion_reaction(lambda x: np.sin(np.pi * x), "source",
-                                        0.01, 0.01, self.nx, 11, max_picard=1)
+            sv.solve_diffusion_reaction(lambda x: np.sin(np.pi * x),
+                                        constant(0.01), 0.01, self.nx, 11,
+                                        max_picard=1)
         assert err.value.step == 1
 
 
 class TestDiffusionReaction:
     def test_zero_forcing_source_mode(self):
-        sol = sv.solve_diffusion_reaction(lambda x: np.zeros_like(x), "source",
-                                          0.01, 0.01, 101, 101)
+        sol = sv.solve_diffusion_reaction(np.zeros_like, constant(0.01),
+                                          0.01, 101, 101)
         assert np.abs(sol.values).max() == 0.0
 
     def test_reaction_free_matches_heat_in_the_time_limit(self):
@@ -274,34 +286,32 @@ class TestDiffusionReaction:
         # discretization: first-order implicit Euler vs Crank-Nicolson
         f = lambda x: np.sin(np.pi * x)
         nx, nt = 101, 200_001
-        a = sv.solve_diffusion_reaction(f, "source", 0.01, 0.0, nx, nt)
-        b = sv.solve_heat_fd("heat_source", f, 0.01, nx, nt)
+        a = sv.solve_diffusion_reaction(f, np.zeros_like, 0.01, nx, nt)
+        b = sv.solve_heat_fd(np.zeros_like, f, 0.01, nx, nt)
         assert np.abs(a.values[-1] - b.values[-1]).max() < 1e-6
 
     def test_self_convergence_rate(self):
         f = lambda x: np.sin(np.pi * x)
-        fine = sv.solve_diffusion_reaction(f, "source", 0.01, 0.01, 321, 321)
-        coarse = sv.solve_diffusion_reaction(f, "source", 0.01, 0.01, 81, 81)
-        halved = sv.solve_diffusion_reaction(f, "source", 0.01, 0.01, 161, 161)
+        k = constant(0.01)
+        fine = sv.solve_diffusion_reaction(f, k, 0.01, 321, 321)
+        coarse = sv.solve_diffusion_reaction(f, k, 0.01, 81, 81)
+        halved = sv.solve_diffusion_reaction(f, k, 0.01, 161, 161)
         pts = np.column_stack([np.linspace(0.1, 0.9, 30), np.full(30, 1.0)])
         e_coarse = np.abs(coarse.eval_at(pts) - fine.eval_at(pts)).max()
         e_halved = np.abs(halved.eval_at(pts) - fine.eval_at(pts)).max()
         assert e_coarse / e_halved >= 1.8
 
     def test_coefficient_mode_runs_and_is_bounded(self):
-        k = lambda x: 1.0 + 4.0 * x  # in [1, 5]
-        sol = sv.solve_diffusion_reaction(k, "coefficient", 0.01, 0.0, 101, 101)
+        # a negative reaction -k(x), k in [1, 5], driven by sin(pi x)
+        sol = sv.solve_diffusion_reaction(lambda x: np.sin(np.pi * x),
+                                          lambda x: -ramp(x), 0.01, 101, 101)
         assert np.all(np.isfinite(sol.values))
-        assert sol.values.max() > 0  # driven by sin(pi x) forcing
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            sv.solve_diffusion_reaction(lambda x: x, "bogus", 0.01, 0.01, 11, 11)
+        assert sol.values.max() > 0
 
     def test_determinism(self):
         f = lambda x: np.sin(2 * np.pi * x)
-        a = sv.solve_diffusion_reaction(f, "source", 0.01, 0.01, 81, 81)
-        b = sv.solve_diffusion_reaction(f, "source", 0.01, 0.01, 81, 81)
+        a = sv.solve_diffusion_reaction(f, constant(0.01), 0.01, 81, 81)
+        b = sv.solve_diffusion_reaction(f, constant(0.01), 0.01, 81, 81)
         assert np.array_equal(a.values, b.values)
 
 
@@ -319,3 +329,17 @@ class TestGridSolution:
         pts = np.array([[0.3, 0.4], [0.9, 0.1]])
         assert np.allclose(sol.eval_at(pts), 2 * pts[:, 0] + 3 * pts[:, 1],
                            rtol=0, atol=1e-14)
+
+
+def test_solvers_know_no_problem_kind():
+    """solvers.py names no kind in a string and takes no kind or mode
+    argument: each registry entry hands its oracle the profiles."""
+    tree = ast.parse(Path(sv.__file__).read_text())
+    named = {word for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str)
+             for word in re.findall(r"\w+", node.value)}
+    assert named & set(pb.KINDS) == set()
+    params = {arg.arg for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              for arg in node.args.args + node.args.kwonlyargs}
+    assert params & {"problem_kind", "mode", "k_const"} == set()
