@@ -165,9 +165,7 @@ def _batch_loss_and_grad(problem, params, colloc):
         g = ad.grad(total, [f_var])[f_var]
         per_sample = np.zeros(len(rows))
         for block in blocks.values():
-            per_sample += np.mean(np.asarray(
-                block.value if isinstance(block, ad.Var) else block) ** 2,
-                axis=1)
+            per_sample += np.mean(block.value ** 2, axis=1)
         return per_sample, g
     return fn
 

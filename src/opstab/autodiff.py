@@ -1,14 +1,16 @@
 """Tape-based reverse-mode differentiation.
 
-The engine works on float64 numpy arrays. A :class:`Tape` records every
-primitive operation in construction order; one reverse sweep over that
-record yields gradients for any set of leaves. Every operation also runs
-on plain arrays, so the same code path serves recorded training graphs
-and plain evaluation.
+The engine works on float64 numpy arrays. A :class:`Tape` records its
+leaves and, in construction order, every primitive operation with at
+least one recorded operand; a plain-array operand is kept in its node as
+a value, never recorded. One reverse sweep over that record yields
+gradients for any set of leaves. Every operation also runs on plain
+arrays, so the same code path serves recorded training graphs and plain
+evaluation.
 
 The primitive set is fixed and small: add, sub, mul, tanh, square,
-matmul, sum, mean. Everything else (negation, the coordinate jets of
-deeponet, ...) is composed from these.
+matmul (2-d operands on the tape), mean. Everything else (negation, the
+coordinate jets of deeponet, ...) is composed from these.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "Tape",
     "Var",
     "grad",
-    "add", "sub", "mul", "neg", "tanh", "square", "matmul", "total", "mean",
+    "add", "sub", "mul", "neg", "tanh", "square", "matmul", "mean",
 ]
 
 
@@ -70,28 +72,16 @@ _VJP = {}
 
 
 def _register(name, forward, *vjp_rules):
-    """vjp_rules[i](out, parent_values, g) is the cotangent of operand
-    i; grad evaluates only the rules of operands that need a gradient."""
+    """vjp_rules[i](out, operand_values, g) is the cotangent of operand
+    i; grad evaluates only the rules of recorded operands."""
     _FORWARD[name] = forward
     _VJP[name] = vjp_rules
 
 
-def _matmul_vjp_a(out, pv, g):
-    a, b = pv
-    if b.ndim == 2:
-        return g @ b.T
-    if a.ndim == 2:
-        return np.outer(g, b)
-    return g * b  # 1d @ 1d -> scalar
-
-
-def _matmul_vjp_b(out, pv, g):
-    a, b = pv
-    if a.ndim == 2:
-        return a.T @ g
-    if b.ndim == 2:
-        return np.outer(a, g)
-    return g * a  # 1d @ 1d -> scalar
+def _matmul_2d(a, b):
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"operands must be 2-d, got {a.shape} and {b.shape}")
+    return a @ b
 
 
 _register("add", lambda a, b: a + b,
@@ -107,9 +97,9 @@ _register("tanh", np.tanh,
           lambda out, pv, g: g * (1.0 - out * out))
 _register("square", lambda a: a * a,
           lambda out, pv, g: g * 2.0 * pv[0])
-_register("matmul", lambda a, b: a @ b, _matmul_vjp_a, _matmul_vjp_b)
-_register("sum", np.sum,
-          lambda out, pv, g: np.full(pv[0].shape, float(g)))
+_register("matmul", _matmul_2d,
+          lambda out, pv, g: g @ pv[1].T,
+          lambda out, pv, g: pv[0].T @ g)
 _register("mean", np.mean,
           lambda out, pv, g: np.full(pv[0].shape, float(g) / pv[0].size))
 
@@ -119,54 +109,49 @@ _register("mean", np.mean,
 # --------------------------------------------------------------------------
 
 class Tape:
-    """Append-only, topologically ordered record of primitive operations.
+    """Append-only, topologically ordered record of leaves and the
+    primitive operations that depend on them.
 
-    Construction order is evaluation order, so a single reverse iteration
-    over the record visits children before parents. The record is never
-    mutated by grad(); it can back any number of reverse sweeps.
+    Each node is (name, parents, operand values), with a node index per
+    recorded operand and None per plain one. Construction order is
+    evaluation order, so a single reverse iteration over the record
+    visits children before parents. The record is never mutated by
+    grad(); it can back any number of reverse sweeps.
     """
 
     def __init__(self):
-        self._ops = []        # (name, parent indices)
+        self._ops = []        # (name, parents, operand values)
         self._values = []     # computed float64 arrays
-        self._requires = []   # does this node depend on any leaf?
-        self._is_leaf = []
 
     def __len__(self):
         return len(self._ops)
 
-    def _push(self, name, parents, value, requires, is_leaf=False):
-        self._ops.append((name, parents))
+    def _push(self, node, value):
+        self._ops.append(node)
         self._values.append(value)
-        self._requires.append(requires)
-        self._is_leaf.append(is_leaf)
         return Var(self, len(self._ops) - 1)
 
     def leaf(self, value):
         """Record a differentiable input."""
-        return self._push("leaf", (), _f64(value), True, is_leaf=True)
-
-    def constant(self, value):
-        """Record a non-differentiable input."""
-        return self._push("const", (), _f64(value), False)
+        return self._push(("leaf", (), ()), _f64(value))
 
     def apply(self, name, *operands):
-        operand_vars = []
+        """Record one primitive; at least one operand is a Var of this tape."""
+        parents, values = [], []
         for x in operands:
             if isinstance(x, Var):
                 if x.tape is not self:
                     raise AutodiffError("operands recorded on different tapes")
-                operand_vars.append(x)
+                parents.append(x.index)
+                values.append(x.value)
             else:
-                operand_vars.append(self.constant(x))
-        values = [v.value for v in operand_vars]
+                parents.append(None)
+                values.append(_f64(x))
         try:
             out = _FORWARD[name](*values)
         except ValueError as exc:
             raise ShapeMismatchError(f"{name}: {exc}") from exc
-        requires = any(self._requires[v.index] for v in operand_vars)
-        return self._push(name, tuple(v.index for v in operand_vars),
-                          _f64(out), requires)
+        return self._push((name, tuple(parents), tuple(values)), _f64(out))
 
 
 class Var:
@@ -194,33 +179,25 @@ class Var:
 # dispatching operations: Var -> numpy
 # --------------------------------------------------------------------------
 
-def _is_var(*xs):
-    return any(isinstance(x, Var) for x in xs)
-
-
-def _tape_of(*xs):
-    for x in xs:
+def _apply(name, *operands):
+    """Record name on the tape of the first Var operand, or run it on
+    plain arrays."""
+    for x in operands:
         if isinstance(x, Var):
-            return x.tape
-    raise AutodiffError("no tape among operands")
+            return x.tape.apply(name, *operands)
+    return _FORWARD[name](*map(_f64, operands))
 
 
 def add(a, b):
-    if _is_var(a, b):
-        return _tape_of(a, b).apply("add", a, b)
-    return _f64(a) + _f64(b)
+    return _apply("add", a, b)
 
 
 def sub(a, b):
-    if _is_var(a, b):
-        return _tape_of(a, b).apply("sub", a, b)
-    return _f64(a) - _f64(b)
+    return _apply("sub", a, b)
 
 
 def mul(a, b):
-    if _is_var(a, b):
-        return _tape_of(a, b).apply("mul", a, b)
-    return _f64(a) * _f64(b)
+    return _apply("mul", a, b)
 
 
 def neg(a):
@@ -228,35 +205,22 @@ def neg(a):
 
 
 def matmul(a, b):
-    if _is_var(a, b):
-        return _tape_of(a, b).apply("matmul", a, b)
+    """2-d operands on the tape; plain arrays follow numpy's @."""
+    if isinstance(a, Var) or isinstance(b, Var):
+        return _apply("matmul", a, b)
     return _f64(a) @ _f64(b)
 
 
 def tanh(a):
-    if isinstance(a, Var):
-        return a.tape.apply("tanh", a)
-    return np.tanh(_f64(a))
+    return _apply("tanh", a)
 
 
 def square(a):
-    if isinstance(a, Var):
-        return a.tape.apply("square", a)
-    a = _f64(a)
-    return a * a
-
-
-def total(a):
-    """Sum of all entries (named to avoid shadowing builtins at import sites)."""
-    if isinstance(a, Var):
-        return a.tape.apply("sum", a)
-    return np.sum(_f64(a))
+    return _apply("square", a)
 
 
 def mean(a):
-    if isinstance(a, Var):
-        return a.tape.apply("mean", a)
-    return np.mean(_f64(a))
+    return _apply("mean", a)
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +243,7 @@ def grad(output: Var, leaves: Sequence[Var]) -> dict:
     for leaf in leaves:
         if not isinstance(leaf, Var) or leaf.tape is not tape:
             raise MissingLeafError("leaf was not recorded on the output's tape")
-        if not tape._is_leaf[leaf.index]:
+        if tape._ops[leaf.index][0] != "leaf":
             raise MissingLeafError(f"node #{leaf.index} is not a leaf")
 
     adjoint = {output.index: np.ones_like(output.value)}
@@ -288,17 +252,14 @@ def grad(output: Var, leaves: Sequence[Var]) -> dict:
         g = adjoint.pop(idx, None)
         if g is None:
             continue
-        name, parents = tape._ops[idx]
+        name, parents, operand_values = tape._ops[idx]
         if name == "leaf":
             leaf_grads[idx] = g
             continue
-        if name == "const":
-            continue
-        parent_values = [tape._values[p] for p in parents]
         for p, rule in zip(parents, _VJP[name]):
-            if not tape._requires[p]:
+            if p is None:
                 continue
-            pg = rule(tape._values[idx], parent_values, g)
+            pg = rule(tape._values[idx], operand_values, g)
             if p in adjoint:
                 adjoint[p] = adjoint[p] + pg
             else:

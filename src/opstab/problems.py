@@ -71,6 +71,9 @@ class ProblemSpec:
         for name in self.entry.constants:
             if name not in self.constants:
                 raise ProblemError(f"{self.kind} requires constant {name!r}")
+            value = self.constants[name]  # a reaction may take either sign
+            if name in ("alpha", "diffusion", "shift") and not value > 0:
+                raise ProblemError(f"{name} must be positive, got {value}")
         grid = self.entry.sensors(self.sensor_count)  # rejects bad counts
         grid.setflags(write=False)
         object.__setattr__(self, "sensors", grid)

@@ -147,7 +147,7 @@ def train(config: RunConfig, progress_sink: Optional[Callable] = None
 
         tape = ad.Tape()
         lifted, leaves = dn.lift_params(tape, params)
-        terms = pb.loss_graph(problem, lifted, tape.constant(rows), colloc)
+        terms = pb.loss_graph(problem, lifted, rows, colloc)
         physics, bc, ic, total = (
             float(np.asarray(t.value if isinstance(t, ad.Var) else t))
             for t in terms)

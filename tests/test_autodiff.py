@@ -4,7 +4,7 @@ import pytest
 from opstab import autodiff as ad
 from opstab import deeponet as dn
 
-from conftest import rel_err, trunk_jet
+from conftest import rel_err, total, trunk_jet
 
 
 def make_mlp(widths, seed):
@@ -24,7 +24,7 @@ def mlp_scalar(layers, x):
         h = ad.add(ad.matmul(w, h), b)
         if i < len(layers) - 1:
             h = ad.tanh(h)
-    return ad.total(h)
+    return total(h)
 
 
 class TestGrad:
@@ -76,7 +76,7 @@ class TestGrad:
     def test_gradient_reusable_tape(self):
         tape = ad.Tape()
         x = tape.leaf([1.0, 2.0])
-        y = ad.total(ad.square(x))
+        y = total(ad.square(x))
         g1 = ad.grad(y, [x])[x]
         g2 = ad.grad(y, [x])[x]
         assert np.array_equal(g1, g2)
@@ -105,7 +105,7 @@ class TestGrad:
             other = (tape.leaf(values[1 - side]) if other_is_leaf
                      else values[1 - side])
             args = (wrt, other) if side == 0 else (other, wrt)
-            return ad.grad(ad.total(ad.tanh(fn(*args))), [wrt])[wrt]
+            return ad.grad(total(ad.tanh(fn(*args))), [wrt])[wrt]
 
         assert np.array_equal(gradient(False), gradient(True))
 
@@ -147,7 +147,7 @@ class TestPrimitives:
             v = float(np.random.default_rng(seed).uniform(0.1, 1.5))
             tape = ad.Tape()
             x = tape.leaf(v)
-            y = ad.total(op(x))
+            y = total(op(x))
             g = float(ad.grad(y, [x])[x])
             fd = (float(ref(v + h)) - float(ref(v - h))) / (2 * h)
             assert abs(g - fd) <= 1e-5 * max(abs(fd), 1.0)
@@ -158,10 +158,21 @@ class TestPrimitives:
         tape = ad.Tape()
         a = tape.leaf(a0)
         b = tape.leaf(b0)
-        y = ad.total(ad.matmul(a, b))
+        y = total(ad.matmul(a, b))
         grads = ad.grad(y, [a, b])
         assert np.allclose(grads[a], np.tile(b0.T, (2, 1)))
         assert np.allclose(grads[b], [[4.0], [6.0]])
+
+    def test_recorded_matmul_takes_only_2d_operands(self):
+        # the reverse rules are the 2-d ones, so a 1-d operand on the tape
+        # fails by name; plain arrays keep numpy's matmul
+        tape = ad.Tape()
+        for a, b in ((tape.leaf(np.eye(2)), np.ones(2)),
+                     (np.ones(2), tape.leaf(np.eye(2))),
+                     (tape.leaf(np.ones(2)), tape.leaf(np.ones(2)))):
+            with pytest.raises(ad.ShapeMismatchError):
+                ad.matmul(a, b)
+        assert np.array_equal(ad.matmul(np.eye(2), np.ones(2)), np.ones(2))
 
     def test_mean_gradient(self):
         tape = ad.Tape()
@@ -173,7 +184,7 @@ class TestPrimitives:
         tape = ad.Tape()
         b = tape.leaf(np.zeros((3, 1)))
         x = np.ones((3, 4))
-        y = ad.total(ad.add(x, b))
+        y = total(ad.add(x, b))
         assert np.array_equal(ad.grad(y, [b])[b], np.full((3, 1), 4.0))
 
 
@@ -234,7 +245,7 @@ class TestJvpVjp:
 
         tape = ad.Tape()
         x = tape.leaf(x0)
-        back = ad.grad(ad.total(ad.mul(grid(x), w)), [x])[x]
+        back = ad.grad(total(ad.mul(grid(x), w)), [x])[x]
         lhs = float(np.sum(w * grid.jvp(x0, v)))
         rhs = float(np.sum(back * v))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)

@@ -246,6 +246,9 @@ OUT_OF_RANGE = [
     ("poisson2d", "problem", "modes", "0"),
     ("diffrec_coeff", "problem", "rescale_lo", "5"),
     ("heat_source", "problem", "rescale_hi", "2"),
+    ("heat_source", "problem", "alpha", "-0.01"),
+    ("diffrec_source", "problem", "diffusion", "-0.01"),
+    ("helmholtz_neumann", "problem", "shift", "0"),
     ("poisson1d", "arch", "width", "0"),
     ("poisson1d", "arch", "depth", "0"),
     ("poisson1d", "train", "steps", "0"),

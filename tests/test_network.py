@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from opstab import autodiff as ad
 from opstab import deeponet as dn
 
-from conftest import rel_err, unfolded_jet
+from conftest import rel_err, total, unfolded_jet
 
 
 def small_arch(transform="none", coord_dim=1):
@@ -140,7 +140,7 @@ class TestGridModel:
 
         tape = ad.Tape()
         f_var = tape.leaf(rows)
-        grad = ad.grad(ad.total(ad.square(grid(f_var))), [f_var])[f_var]
+        grad = ad.grad(total(ad.square(grid(f_var))), [f_var])[f_var]
         # the closed-form vjp takes the reverse sweep's steps in its order
         assert np.array_equal(grid.vjp(rows, 2.0 * want), grad)
 
@@ -365,7 +365,7 @@ def unfolded_jacobian(params, rows, cols):
         tape = ad.Tape()
         f_var = tape.leaf(rows)
         u = unfolded_jet(params, f_var, cols).u
-        columns.append(ad.grad(ad.total(ad.mul(u, e)), [f_var])[f_var])
+        columns.append(ad.grad(total(ad.mul(u, e)), [f_var])[f_var])
     return np.stack(columns, axis=1)
 
 

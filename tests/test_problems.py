@@ -230,7 +230,7 @@ class TestLossesAgainstFiniteDifferences:
 
         tape = ad.Tape()
         lifted, leaves = dn.lift_params(tape, params)
-        terms = pb.loss_graph(prob, lifted, tape.constant(rows), colloc)
+        terms = pb.loss_graph(prob, lifted, rows, colloc)
         h = 1e-6
         fd = (np.array(terms_at(h)) - np.array(terms_at(-h))) / (2 * h)
         for term, want in zip(terms, fd):
@@ -298,9 +298,8 @@ class TestLossBlocks:
         rows = pb.sample_batch(prob, 0, 2)
         tape = ad.Tape()
         lifted, _ = dn.lift_params(tape, params)
-        pb.loss_graph(prob, lifted, tape.constant(rows),
-                      pb.make_collocation(prob))
-        assert len(tape) == 93
+        pb.loss_graph(prob, lifted, rows, pb.make_collocation(prob))
+        assert len(tape) == 75
 
 
 def loss_terms(prob, params, samples, colloc):
